@@ -64,6 +64,19 @@ def _det_key(z: dict, order: MonomialOrder):
     return (order.key(max(z, key=order.key)), len(z), sorted(z.items()))
 
 
+def _front_ring(ring: Ring) -> Ring:
+    """ring with one variable prepended, named apart from ring's variables."""
+    name = "_t"
+    while name in ring.names:
+        name += "_"
+    return ring.extend([name], front=True)
+
+
+def _lift(p: Polynomial, ext: Ring) -> Polynomial:
+    """p as a polynomial of ext = _front_ring(p.ring), free of the front variable."""
+    return Polynomial(ext, {(0,) + e: c for e, c in p.terms.items()})
+
+
 def _push_pairs(pairs: list, basis: list, t: int, key) -> None:
     """Push the S-pairs (i, t), i < t, onto the heap `pairs` as
     (key(lcm of the leads), i, t); leads never change once in `basis`, so
@@ -245,14 +258,10 @@ class Ideal:
         return normal_form(p, self.groebner(order), order)
 
     def radical_contains(self, p: Polynomial) -> bool:
-        """Membership in the radical (Rabinowitsch trick)."""
+        """Membership in the radical: p lies in rad(I) iff I : p^inf = (1)."""
         if p.is_zero():
             return True
-        ext = self.ring.extend(["_rb"], front=True)
-        shift = {i: ext.var(i + 1) for i in range(self.ring.arity)}
-        gens = [g.substitute(shift, ext) for g in self.gens]
-        gens.append(ext.one() - ext.var(0) * p.substitute(shift, ext))
-        return Ideal(ext, gens).is_unit()
+        return self.saturate_poly(p).is_unit()
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):
@@ -278,24 +287,17 @@ class Ideal:
         return Ideal(self.ring, tuple(g.translate(point) for g in self.gens))
 
     def intersect(self, other: "Ideal") -> "Ideal":
-        """I cap K via the t-trick: eliminate t from t*I + (1-t)*K."""
+        """I cap K = (t*I + (1-t)*K) cap k[x]: one elimination of a fresh t."""
         if other.ring != self.ring:
             raise InputError("ideals from different rings")
         if self.is_zero() or other.is_zero():
             return Ideal(self.ring, ())
-        ext = self.ring.extend(["_s"], front=True)
+        ext = _front_ring(self.ring)
         t = ext.var(0)
-        shift = {i: ext.var(i + 1) for i in range(self.ring.arity)}
-        gens = [t * g.substitute(shift, ext) for g in self.gens]
         one_t = ext.one() - t
-        gens += [one_t * g.substitute(shift, ext) for g in other.gens]
-        gb = Ideal(ext, gens).groebner(block_order(1))
-        kept = []
-        back = {i + 1: self.ring.var(i) for i in range(self.ring.arity)}
-        for g in gb:
-            if all(e[0] == 0 for e in g.terms):
-                kept.append(g.substitute(back, self.ring))
-        return Ideal(self.ring, kept)
+        gens = [t * _lift(g, ext) for g in self.gens]
+        gens += [one_t * _lift(g, ext) for g in other.gens]
+        return Ideal(ext, gens).eliminate([0])
 
     def quotient(self, g: Polynomial) -> "Ideal":
         """Ideal quotient I : g."""
@@ -307,13 +309,13 @@ class Ideal:
         return Ideal(self.ring, tuple(exact_div(h, g) for h in meet.gens))
 
     def saturate_poly(self, g: Polynomial) -> "Ideal":
-        """I : g^inf by iterated quotients until the basis stabilizes."""
-        cur = self
-        while True:
-            nxt = cur.quotient(g)
-            if nxt == cur:
-                return cur
-            cur = nxt
+        """I : g^inf = (I + (1 - t*g)) cap k[x]: one elimination of a fresh t."""
+        if g.is_zero():
+            raise InputError("saturation by the zero polynomial")
+        ext = _front_ring(self.ring)
+        gens = [_lift(p, ext) for p in self.gens]
+        gens.append(ext.one() - ext.var(0) * _lift(g, ext))
+        return Ideal(ext, gens).eliminate([0])
 
     def saturate(self, other: "Ideal") -> "Ideal":
         """I : J^inf as the intersection of the per-generator saturations."""
@@ -345,15 +347,17 @@ class Ideal:
         keep = [i for i in range(self.ring.arity) if i not in drop]
         perm = drop + keep  # position p of the permuted ring holds old var perm[p]
         permuted = Ring(tuple(self.ring.names[i] for i in perm))
-        fwd = {old: permuted.var(p) for p, old in enumerate(perm)}
-        gens = [g.substitute(fwd, permuted) for g in self.gens]
-        gb = Ideal(permuted, gens).groebner(block_order(len(drop)))
+        gens = [
+            Polynomial(permuted, {tuple(e[i] for i in perm): c for e, c in g.terms.items()})
+            for g in self.gens
+        ]
+        nd = len(drop)
+        gb = Ideal(permuted, gens).groebner(block_order(nd))
         target = Ring(tuple(self.ring.names[i] for i in keep))
-        back = {len(drop) + p: target.var(p) for p in range(len(keep))}
         kept = []
         for g in gb:
-            if all(all(e[p] == 0 for p in range(len(drop))) for e in g.terms):
-                kept.append(g.substitute(back, target))
+            if not any(any(e[:nd]) for e in g.terms):
+                kept.append(Polynomial(target, {e[nd:]: c for e, c in g.terms.items()}))
         return Ideal(target, kept)
 
     # -- numeric invariants ------------------------------------------------------
@@ -432,7 +436,6 @@ def _numerator(gens: frozenset, memo: dict) -> dict:
     """Hilbert series numerator of a monomial ideal, as {degree: coeff}."""
     if gens in memo:
         return memo[gens]
-    zero = None
     for g in gens:
         if sum(g) == 0:
             memo[gens] = {}

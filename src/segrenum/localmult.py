@@ -12,7 +12,7 @@ import heapq
 
 from . import kernel
 from .errors import InputError
-from .groebner import Ideal, _det_key, _from_int_terms, _push_pairs, _zpoly
+from .groebner import Ideal, _det_key, _from_int_terms, _front_ring, _push_pairs, _zpoly
 from .orders import GREVLEX, LOCAL, block_order
 from .ring import AffinePoint, Polynomial
 
@@ -84,10 +84,7 @@ def _standard_basis_lazard(gens) -> list[dict]:
     the order that eliminates it (which on homogeneous input agrees with
     the homogenized local order), and set the variable back to 1."""
     ring = gens[0].ring
-    name = "_h"
-    while name in ring.names:
-        name += "h"
-    R = ring.extend([name], front=True)
+    R = _front_ring(ring)
     hpolys = []
     for g in gens:
         z = _zpoly(g)

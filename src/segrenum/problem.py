@@ -165,8 +165,11 @@ def _handle_declaration(problem: Problem, key: str, name: str | None, body: str)
 
 
 def load_problem(path: str) -> Problem:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise InputError(f"cannot read problem file {path!r}: {exc.strerror}") from None
     problem = None
     for no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

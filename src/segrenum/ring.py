@@ -457,6 +457,8 @@ class _Parser:
                 kind2, val2 = self.take()
                 if kind2 != "int":
                     raise InputError("denominator must be an integer")
+                if int(val2) == 0:
+                    raise InputError(f"division by zero in {self.text!r}")
                 return self.ring.constant(Fraction(num, int(val2)))
             return self.ring.constant(num)
         if (kind, val) == ("op", "("):

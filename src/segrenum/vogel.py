@@ -10,8 +10,8 @@ whose Z-part multiplicities at x (guarded by the expected dimension n - k)
 give one trial vector.  The reported Segre numbers are the lexicographic
 minimum of the trial vectors over certified sequences; polar multiplicities
 are the same minimum taken over the off-part vectors.  A sequence is
-certified when, for every k, the saturated ideal of X + (h_1..h_k) is the
-unit ideal or has dimension exactly n - k.
+certified when, for every k >= 1, I_k^off = (I_X + (h_1..h_k)) : (f)^inf is
+the unit ideal or has dimension exactly n - k; the runs reuse these I_k^off.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ class VogelSequence:
     alpha: tuple[tuple[int, ...], ...]
     elements: tuple[Polynomial, ...]
     certified: bool
+    off: tuple[Ideal, ...] = field(compare=False, repr=False)  # I_0^off..I_n^off
 
 
 @dataclass(frozen=True)
@@ -91,17 +92,16 @@ def _combos(f: list[Polynomial], alpha_row, ring) -> Polynomial:
     return h
 
 
-def _certify(h: list[Polynomial], X: Ideal, fid: Ideal) -> tuple[bool, int | None]:
-    n = len(h)
-    gens = list(X.gens)
-    for k in range(1, n + 1):
-        gens.append(h[k - 1])
-        S = Ideal(X.ring, gens).saturate(fid)
-        if S.is_unit():
-            continue
-        if S.krull_dimension() != X.krull_dimension() - k:
-            return False, k
-    return True, None
+def _certify(h: list[Polynomial], X: Ideal, fid: Ideal) -> tuple[tuple[Ideal, ...], int | None]:
+    """The chain off_0 = X : fid^inf, off_k = (off_{k-1} + (h_k)) : fid^inf, up to
+    the first k whose off_k is neither (1) nor of dimension dim X - k; that k or None."""
+    chain = [X.saturate(fid)]
+    for k, p in enumerate(h, start=1):
+        off = (chain[-1] + (p,)).saturate(fid)
+        chain.append(off)
+        if not off.is_unit() and off.krull_dimension() != X.krull_dimension() - k:
+            return tuple(chain), k
+    return tuple(chain), None
 
 
 def verify_vogel_condition(h, X: Ideal, J: Ideal) -> tuple[bool, int | None]:
@@ -115,7 +115,8 @@ def verify_vogel_condition(h, X: Ideal, J: Ideal) -> tuple[bool, int | None]:
             raise InputError("elements from a different ring")
         if not J.contains(p):
             raise InputError("h must consist of elements of J")
-    return _certify(h, X, J)
+    _, bad = _certify(h, X, J)
+    return bad is None, bad
 
 
 def random_vogel_sequence(
@@ -133,8 +134,8 @@ def random_vogel_sequence(
     f = list(f)
     nonzero = [p for p in f if not p.is_zero()]
     if not nonzero:
-        zero_alpha = tuple(tuple(0 for _ in f) for _ in range(n))
-        return VogelSequence(zero_alpha, tuple(ring.zero() for _ in range(n)), True)
+        off = (Ideal(ring, (ring.one(),)),) * (n + 1)  # no point lies off V(0)
+        return VogelSequence(((0,) * len(f),) * n, (ring.zero(),) * n, True, off)
     fid = Ideal(ring, nonzero)
     last_bad = None
     for _ in range(retries):
@@ -144,9 +145,9 @@ def random_vogel_sequence(
         h = [_combos(f, row, ring) for row in alpha]
         if any(p.is_zero() for p in h):
             continue
-        ok, bad = _certify(h, X, fid)
-        if ok:
-            return VogelSequence(alpha, tuple(h), True)
+        chain, bad = _certify(h, X, fid)
+        if bad is None:
+            return VogelSequence(alpha, tuple(h), True, chain)
         last_bad = bad
     raise GenericityError(
         f"no certified Vogel sequence in {retries} draws (failing codim {last_bad})",
@@ -156,14 +157,10 @@ def random_vogel_sequence(
 
 def vogel_run(f, X: Ideal, sequence: VogelSequence) -> VogelRun:
     """Run the cycle construction for one sequence; everything at the origin."""
-    ring = X.ring
-    f = tuple(f)
-    nonzero = [p for p in f if not p.is_zero()]
-    fid = Ideal(ring, nonzero)
     n = len(sequence.elements)
     steps: list[VogelStep] = []
     cur = X
-    for k in range(n + 1):
+    for k, off in enumerate(sequence.off):
         if k > 0:
             cur = steps[-1].off + (sequence.elements[k - 1],)
         expected = n - k
@@ -173,12 +170,6 @@ def vogel_run(f, X: Ideal, sequence: VogelSequence) -> VogelRun:
                 f"step {k} has local dimension {ld} > {expected}", codim=k
             )
         mult = m if ld == expected else 0
-        if fid.is_zero():
-            off = Ideal(ring, (ring.one(),))
-        elif cur.is_zero():
-            off = cur  # nothing lies in V(f) for nonzero f
-        else:
-            off = cur.saturate(fid)
         old, om = local_dim_mult(off)
         if old > expected:
             raise GenericityError(
@@ -188,7 +179,7 @@ def vogel_run(f, X: Ideal, sequence: VogelSequence) -> VogelRun:
         steps.append(
             VogelStep(k, cur, off, ld, mult, old, off_mult, mult - off_mult)
         )
-    return VogelRun(X, f, sequence, steps)
+    return VogelRun(X, tuple(f), sequence, steps)
 
 
 def _translated(f, X: Ideal, point: AffinePoint | None):
@@ -214,6 +205,8 @@ def run_trials(
     """Certified runs for consecutive draws of one seeded stream."""
     if trials < 1:
         raise InputError("trials must be at least 1")
+    if bound < 1:
+        raise InputError("the coefficient bound must be at least 1")
     ft, Xt = _translated(f, X, point)
     rng = random.Random(seed)
     runs = []

@@ -146,6 +146,27 @@ def test_check_passes_on_corpus_file(capsys):
     assert doc["result"]["checked"] == 5
 
 
+def test_missing_problem_file_is_input_error(tmp_path, capsys):
+    code = main(["dim", "--ideal", "A", str(tmp_path / "absent.prob")])
+    assert code == 2
+    assert "cannot read problem file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", ["-1", "0"])
+def test_nonpositive_coeff_bound_is_input_error(bound, capsys):
+    code = main(["segre", "--ideal", "F", "--coeff-bound", bound, SCALED])
+    assert code == 2
+    assert "coefficient bound" in capsys.readouterr().err
+
+
+def test_zero_denominator_is_input_error(tmp_path, capsys):
+    f = tmp_path / "divzero.prob"
+    f.write_text("ring x y\nideal A: 1/0*x\n")
+    code = main(["dim", "--ideal", "A", str(f)])
+    assert code == 2
+    assert "division by zero" in capsys.readouterr().err
+
+
 def test_mapped_error_exits(monkeypatch, capsys):
     def boom_generic(problem, args):
         raise GenericityError("no admissible draw")

@@ -131,11 +131,35 @@ def test_saturate_ideal_regression_unit_first_factor():
         I.saturate(Ideal(R2, ()))
 
 
+def _iterated_quotient(I, g):
+    """Reference I : g^inf: quotients by g until the ideal stops growing."""
+    cur = I
+    while True:
+        nxt = cur.quotient(g)
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
 def test_saturate_matches_iterated_quotient():
     I = Ideal(R3, ["x^2*z", "y*z^2"])
-    J = Ideal(R3, ["z"])
-    assert I.saturate(J) == I.saturate_poly(R3.parse("z"))
-    assert I.saturate(J) == Ideal(R3, ["x^2", "y"])
+    z = R3.parse("z")
+    ref = _iterated_quotient(I, z)
+    assert ref == Ideal(R3, ["x^2", "y"])
+    assert I.saturate(Ideal(R3, ["z"])) == ref
+    assert I.saturate_poly(z) == ref
+
+
+@pytest.mark.parametrize("names", [["_s", "y"], ["_rb", "y"], ["_h", "y"], ["_t", "_t_"]])
+def test_elimination_variable_never_clashes(names):
+    R = Ring(names)
+    a, b = (R.parse(n) for n in names)
+    I = Ideal(R, [a * a * b])
+    assert Ideal(R, [a]).intersect(Ideal(R, [b])) == Ideal(R, [a * b])
+    assert I.quotient(b) == Ideal(R, [a * a])
+    assert I.saturate(Ideal(R, [a])) == Ideal(R, [b])
+    assert I.radical_contains(a * b)
+    assert not I.radical_contains(a)
 
 
 def test_radical_membership():
@@ -228,6 +252,43 @@ def test_saturation_idempotent(gens, g):
     I = Ideal(R2, gens)
     s1 = I.saturate_poly(g)
     assert s1.saturate_poly(g) == s1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_poly2, min_size=1, max_size=2), _poly2)
+def test_saturate_poly_matches_iterated_quotient(gens, g):
+    I = Ideal(R2, gens)
+    assert I.saturate_poly(g) == _iterated_quotient(I, g)
+
+
+def test_reduced_bases_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+
+    def to_sympy(p):
+        return sum(
+            sympy.Rational(c.numerator, c.denominator) * x ** e[0] * y ** e[1]
+            for e, c in p.terms.items()
+        )
+
+    def monic(p, order):
+        lead = p.terms[max(p.terms, key=order.key)]
+        return str(p.scale(1 / lead))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(_poly2, min_size=1, max_size=3))
+    def check(gens):
+        exprs = [to_sympy(g) for g in gens]
+        for order, name in ((GREVLEX, "grevlex"), (LEX, "lex")):
+            ours = [str(g) for g in Ideal(R2, gens).groebner(order)]
+            theirs = sympy.groebner(exprs, x, y, order=name, domain="QQ")
+            polys = [
+                R2.from_terms({e: Fraction(int(c.p), int(c.q)) for e, c in q.as_dict().items()})
+                for q in theirs.polys
+            ]
+            assert sorted(ours) == sorted(monic(p, order) for p in polys), name
+
+    check()
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,5 +1,7 @@
 """Vogel sequences, Segre numbers, polar multiplicities, fixed/moving parts."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +14,11 @@ from segrenum import (
     fixed_support,
     point_part,
     polar_at,
+    random_vogel_sequence,
     run_trials,
     segre_at,
     verify_vogel_condition,
+    vogel_run,
 )
 
 T3 = Ring(["t1", "t2", "t3"])
@@ -165,6 +169,24 @@ def test_verify_vogel_condition_good_and_bad():
     assert ok is True and k is None
     bad, where = verify_vogel_condition(["x", "x"], X, J)
     assert bad is False and where == 2
+
+
+def test_vogel_run_reads_the_certified_chain(monkeypatch):
+    f = [T3.parse(p) for p in SCALED_PLANE]
+    X, fid = Ideal(T3, ()), Ideal(T3, SCALED_PLANE)
+    seq = random_vogel_sequence(f, X, random.Random(7))
+    # off_k = (off_{k-1} + h_k) : f^inf equals (X + h_1..h_k) : f^inf
+    for k, off in enumerate(seq.off):
+        assert off == (X + seq.elements[:k]).saturate(fid)
+    assert verify_vogel_condition(["x", "x"], Ideal(R2, ()), Ideal(R2, ["x", "y"])) == (False, 2)
+    expected = vogel_run(f, X, seq)
+
+    def no_saturation(self, other):
+        raise AssertionError("vogel_run saturated an ideal")
+
+    monkeypatch.setattr(Ideal, "saturate", no_saturation)
+    run = vogel_run(f, X, seq)
+    assert run.mult_z == expected.mult_z and run.mult_off == expected.mult_off
 
 
 def test_verify_vogel_condition_membership():
