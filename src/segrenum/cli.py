@@ -9,7 +9,8 @@ One command per invocation, operating on a problem file:
 Reports are deterministic for fixed (file, command, seed, trials,
 coeff-bound); timing is reported but excluded from comparisons.  Exit codes:
 0 success, 1 failed expectation check, 2 input error, 3 genericity failure,
-4 improper intersection, 5 unresolved moving support.
+4 improper intersection, 5 unresolved moving support, 6 internal error (any
+other exception: a bug, reported with its traceback).
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ EXIT_INPUT = 2
 EXIT_GENERICITY = 3
 EXIT_IMPROPER = 4
 EXIT_UNRESOLVED = 5
+EXIT_INTERNAL = 6
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -536,6 +538,12 @@ def main(argv=None) -> int:
     except UnresolvedMovingSupportError as exc:
         print(f"unresolved moving support: {exc}", file=sys.stderr)
         return EXIT_UNRESOLVED
+    except Exception as exc:
+        import traceback  # only this path needs it; importing it costs every run memory
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     sys.stdout.write(render(doc, fmt))
     return code
 

@@ -11,6 +11,7 @@ recorded so component ideals can be mapped back to the original coordinates.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -356,6 +357,20 @@ def cycle_local_mult(cycle: CycleRep, point: AffinePoint | None = None) -> int:
     return total
 
 
+def _part_products(cycles):
+    """(common ring, (ideals, coefficient product) for each combination of
+    one part per cycle); InputError unless there are two or more cycles,
+    all on one ring."""
+    cycles = list(cycles)
+    if len(cycles) < 2:
+        raise InputError("need at least two cycles")
+    ring = cycles[0].ring
+    if any(z.ring != ring for z in cycles):
+        raise InputError("cycles from different rings")
+    combos = itertools.product(*[z.parts for z in cycles])
+    return ring, (([i for i, _ in c], math.prod(k for _, k in c)) for c in combos)
+
+
 @dataclass(frozen=True)
 class ProperIntersection:
     cycle: CycleRep
@@ -375,20 +390,10 @@ def proper_intersect(
     the point.  Raises ImproperIntersectionError when a combination meets
     in excess dimension.
     """
-    cycles = list(cycles)
-    if len(cycles) < 2:
-        raise InputError("need at least two cycles")
-    ring = cycles[0].ring
-    for z in cycles:
-        if z.ring != ring:
-            raise InputError("cycles from different rings")
+    ring, combos = _part_products(cycles)
     n = ring.arity
     out_parts = []
-    for combo in itertools.product(*[z.parts for z in cycles]):
-        ideals = [ideal for ideal, _ in combo]
-        coeff = 1
-        for _, c in combo:
-            coeff *= c
+    for ideals, coeff in combos:
         dims = [ideal.krull_dimension() for ideal in ideals]
         if any(d < 0 for d in dims):
             continue
@@ -508,21 +513,12 @@ def tworzewski_index(
 ) -> ExtendedIndex:
     """Pointwise Tworzewski product index of two or more cycles at x:
     diagonal Segre numbers on the product, multilinear in the parts."""
-    cycles = list(cycles)
-    if len(cycles) < 2:
-        raise InputError("need at least two cycles")
-    ring = cycles[0].ring
-    for z in cycles:
-        if z.ring != ring:
-            raise InputError("cycles from different rings")
+    ring, combos = _part_products(cycles)
     by_dim: dict[int, int] = {}
     top = -1
     stable = True
-    for combo in itertools.product(*[z.parts for z in cycles]):
-        coeff = 1
-        for _, c in combo:
-            coeff *= c
-        setup = _combo_setup([ideal for ideal, _ in combo], ring, point)
+    for ideals, coeff in combos:
+        setup = _combo_setup(ideals, ring, point)
         if setup is None:
             continue
         _, _, space, eta, n, cap = setup
@@ -557,19 +553,13 @@ def tworzewski_point_part(
 ) -> PointPartReport:
     """Coefficient of {x} in the Tworzewski product, with the positive-
     dimensional fixed components (mapped back to the base ring)."""
-    cycles = list(cycles)
-    if len(cycles) < 2:
-        raise InputError("need at least two cycles")
-    ring = cycles[0].ring
+    ring, combos = _part_products(cycles)
     mass = 0
     fixed: list = []
     notes: list[str] = []
     back = point.negate() if point is not None and not point.is_origin() else None
-    for combo in itertools.product(*[z.parts for z in cycles]):
-        coeff = 1
-        for _, c in combo:
-            coeff *= c
-        setup = _combo_setup([ideal for ideal, _ in combo], ring, point)
+    for ideals, coeff in combos:
+        setup = _combo_setup(ideals, ring, point)
         if setup is None:
             continue
         prod, red, space, eta, n, _ = setup

@@ -1,6 +1,6 @@
 """Exception types shared across the package.
 
-Each maps to a CLI exit code; see cli.EXIT_CODES.
+Each maps to a CLI exit code; see the EXIT_* constants in cli.
 """
 
 

@@ -1,9 +1,12 @@
 """Groebner bases and ideal arithmetic over Q.
 
 Buchberger with the normal selection strategy (smallest S-pair lcm first,
-ties broken by pair index) and both classical pair criteria; pending pairs
-sit in a heap keyed once, when pushed, so every run reduces the same
-S-polynomials in the same order and produces the same intermediate bases.
+ties broken by pair index) and both classical pair criteria (coprime leads,
+chain); pending pairs sit in a heap keyed once, when pushed, so every run
+reduces the same S-polynomials in the same order and produces the same
+intermediate bases.  The pair loop and both criteria live in one engine,
+``_complete``, shared with Mora's local standard bases (``localmult``),
+which differ only in the normal form and the reducer rows they pass in.
 All reductions run fraction-free over int through the kernel backends, with
 content removed as coefficients grow.
 Reduced bases are monic and sorted by decreasing lead, so equal ideals have
@@ -77,14 +80,56 @@ def _lift(p: Polynomial, ext: Ring) -> Polynomial:
     return Polynomial(ext, {(0,) + e: c for e, c in p.terms.items()})
 
 
-def _push_pairs(pairs: list, basis: list, t: int, key) -> None:
-    """Push the S-pairs (i, t), i < t, onto the heap `pairs` as
-    (key(lcm of the leads), i, t); leads never change once in `basis`, so
-    the key computed here stays valid until the pair is popped."""
+def _complete(G: list[dict], order: MonomialOrder, nf, row) -> list:
+    """The S-pair loop shared by Buchberger and Mora.
+
+    G holds primitive int term dicts; row(z) is an element's reducer row
+    (lead exp, lead coeff, ..., z) and nf(s, rows) reduces an S-polynomial
+    against the rows so far, {} when it vanishes.  Pairs (i, t), i < t, sit
+    in a heap keyed once, when pushed, by (order.key(lcm of the leads), i, t):
+    leads never change, so the key stays valid.  A pair is skipped when its
+    leads are coprime or by the chain criterion: another lead divides their
+    lcm and both pairs joining it to the two have already been popped.
+    Returns the rows of G and of every new element, in the order found.
+    """
     K = kernel.get()
-    lt = basis[t][0]
-    for i in range(t):
-        heapq.heappush(pairs, (key(K.exp_lcm(basis[i][0], lt)), i, t))
+    code, block = order.code, order.block
+    rows = [row(z) for z in G]
+    pairs: list = []
+    done = set()
+
+    def push(t):
+        lt = rows[t][0]
+        for i in range(t):
+            heapq.heappush(pairs, (order.key(K.exp_lcm(rows[i][0], lt)), i, t))
+
+    def chained(i, j, L):
+        for k in range(len(rows)):
+            if k in (i, j) or not K.exp_div(L, rows[k][0]):
+                continue
+            if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
+                return True
+        return False
+
+    for t in range(len(rows)):
+        push(t)
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        done.add((i, j))
+        li, lj = rows[i][0], rows[j][0]
+        L = K.exp_lcm(li, lj)
+        if L == K.exp_add(li, lj):  # coprime leads: S-poly reduces to zero
+            continue
+        if chained(i, j, L):
+            continue
+        s = K.spoly(rows[i][-1], li, rows[i][1], rows[j][-1], lj, rows[j][1], code, block)
+        if not s:
+            continue
+        r = nf(s, rows)
+        if r:
+            rows.append(row(r))
+            push(len(rows) - 1)
+    return rows
 
 
 def _reduced_groebner(zgens: list[dict], order: MonomialOrder) -> list[dict]:
@@ -94,50 +139,18 @@ def _reduced_groebner(zgens: list[dict], order: MonomialOrder) -> list[dict]:
     code, block = order.code, order.block
     G = [K.make_primitive(dict(z)) for z in zgens if z]
     G.sort(key=lambda z: _det_key(z, order))
-    basis = []  # (lead_exp, lead_coeff, dict) parallel to G
-    for z in G:
+
+    def row(z):
         le = K.lead_exp(z, code, block)
-        basis.append((le, z[le], z))
+        return (le, z[le], z)
 
-    pairs = []
-    done = set()
-    for t in range(len(G)):
-        _push_pairs(pairs, basis, t, order.key)
+    def nf(s, rows):
+        return K.make_primitive(K.reduce_full(s, rows, code, block)[0])
 
-    while pairs:
-        _, i, j = heapq.heappop(pairs)
-        done.add((i, j))
-        li, lj = basis[i][0], basis[j][0]
-        L = K.exp_lcm(li, lj)
-        if L == K.exp_add(li, lj):  # coprime leads: S-poly reduces to zero
-            continue
-        chain = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if K.exp_div(L, basis[k][0]):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a in done and b in done:
-                    chain = True
-                    break
-        if chain:
-            continue
-        s = K.spoly(G[i], li, basis[i][1], G[j], lj, basis[j][1], code, block)
-        if not s:
-            continue
-        r, _, _ = K.reduce_full(s, basis, code, block)
-        if not r:
-            continue
-        r = K.make_primitive(r)
-        t = len(G)
-        G.append(r)
-        le = K.lead_exp(r, code, block)
-        basis.append((le, r[le], r))
-        _push_pairs(pairs, basis, t, order.key)
+    basis = _complete(G, order, nf, row)
 
     # minimalize: keep only elements whose lead no other kept lead divides
-    idx = sorted(range(len(G)), key=lambda i: order.key(basis[i][0]))
+    idx = sorted(range(len(basis)), key=lambda i: order.key(basis[i][0]))
     kept = []
     for i in idx:
         if not any(K.exp_div(basis[i][0], basis[k][0]) for k in kept):
@@ -147,9 +160,9 @@ def _reduced_groebner(zgens: list[dict], order: MonomialOrder) -> list[dict]:
     for i in kept:
         others = [basis[k] for k in kept if k != i]
         if others:
-            r, _, _ = K.reduce_full(G[i], others, code, block)
+            r, _, _ = K.reduce_full(basis[i][2], others, code, block)
         else:
-            r = G[i]
+            r = basis[i][2]
         out.append(_sign_fix(K.make_primitive(dict(r)), order))
     out.sort(key=lambda z: order.key(K.lead_exp(z, code, block)), reverse=True)
     return out
@@ -222,6 +235,9 @@ class Ideal:
     def groebner(self, order: MonomialOrder = GREVLEX) -> tuple[Polynomial, ...]:
         """Reduced monic Groebner basis, sorted by decreasing lead."""
         if order not in self._gb:
+            if order.block > self.ring.arity:
+                n = self.ring.arity
+                raise InputError(f"{order} eliminates {order.block} of {n} variables")
             zs = [_zpoly(g) for g in self.gens]
             gb = _reduced_groebner(zs, order)
             polys = []

@@ -1,18 +1,18 @@
 """Local invariants at a point: tangent cones, local dimension, multiplicity.
 
-Standard bases are computed with Mora's normal form under the local order
-(negative degree grevlex); the lowest-degree forms of a standard basis
+Standard bases are computed under the local order (negative degree
+grevlex) by the Buchberger pair loop of ``groebner._complete``, with its
+coprime and chain criteria, with Mora's normal form in place of full
+reduction; the lowest-degree forms of a standard basis
 generate the tangent cone, whose graded Hilbert data gives the local
 dimension and Hilbert-Samuel multiplicity.
 """
 
 from __future__ import annotations
 
-import heapq
-
 from . import kernel
 from .errors import InputError
-from .groebner import Ideal, _det_key, _from_int_terms, _front_ring, _push_pairs, _zpoly
+from .groebner import Ideal, _complete, _det_key, _from_int_terms, _front_ring, _zpoly
 from .orders import GREVLEX, LOCAL, block_order
 from .ring import AffinePoint, Polynomial
 
@@ -43,39 +43,21 @@ def standard_basis(gens) -> list[dict]:
 
 def _standard_basis_mora(gens) -> list[dict]:
     K = kernel.get()
-    code, block = LOCAL.code, 0
+    code = LOCAL.code
     G = [K.make_primitive(_zpoly(g)) for g in gens if not g.is_zero()]
     G.sort(key=lambda z: _det_key(z, LOCAL))
 
-    def entry(z):
-        le = K.lead_exp(z, code, block)
-        ec = max(sum(e) for e in z) - sum(le)
-        return (le, z[le], ec, z)
+    def row(z):
+        le = K.lead_exp(z, code, 0)
+        return (le, z[le], max(sum(e) for e in z) - sum(le), z)
 
-    basis = [entry(z) for z in G]
-    pairs = []
-    for t in range(len(G)):
-        _push_pairs(pairs, basis, t, LOCAL.key)
-
-    while pairs:
-        _, i, j = heapq.heappop(pairs)
-        li, lj = basis[i][0], basis[j][0]
-        L = K.exp_lcm(li, lj)
-        if L == K.exp_add(li, lj):  # coprime leads
-            continue
-        s = K.spoly(G[i], li, basis[i][1], G[j], lj, basis[j][1], code, block)
-        if not s:
-            continue
-        h = K.mora_nf(s, basis, code, block, MORA_STEP_LIMIT)
+    def nf(s, rows):
+        h = K.mora_nf(s, rows, code, 0, MORA_STEP_LIMIT)
         if h is None:
             raise _MoraBudgetExceeded
-        if not h:
-            continue
-        t = len(G)
-        G.append(h)
-        basis.append(entry(h))
-        _push_pairs(pairs, basis, t, LOCAL.key)
-    return G
+        return h
+
+    return [r[-1] for r in _complete(G, LOCAL, nf, row)]
 
 
 def _standard_basis_lazard(gens) -> list[dict]:

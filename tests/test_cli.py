@@ -167,6 +167,13 @@ def test_zero_denominator_is_input_error(tmp_path, capsys):
     assert "division by zero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order, code", [("elim:9", 2), ("elim:3", 0)])
+def test_elimination_block_wider_than_ring(order, code, capsys):
+    assert main(["gb", "--ideal", "T", "--order", order, TWISTED]) == code
+    if code:
+        assert "block(9) eliminates 9 of 3 variables" in capsys.readouterr().err
+
+
 def test_mapped_error_exits(monkeypatch, capsys):
     def boom_generic(problem, args):
         raise GenericityError("no admissible draw")
@@ -180,6 +187,14 @@ def test_mapped_error_exits(monkeypatch, capsys):
     assert main(["dim", "--ideal", "C23", CUSP]) == 5
     err = capsys.readouterr().err
     assert "genericity" in err and "moving" in err
+
+    def boom_internal(problem, args):
+        raise RuntimeError("kernel bug")
+
+    monkeypatch.setitem(COMMANDS, "dim", boom_internal)
+    assert main(["dim", "--ideal", "C23", CUSP]) == 6
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "internal error: RuntimeError: kernel bug" in err
 
 
 # -- corpus ------------------------------------------------------------------------

@@ -157,6 +157,17 @@ def test_needs_two_cycles():
         proper_intersect([CycleRep.from_ideal(Ideal(R2, ["x"]))])
 
 
+@pytest.mark.parametrize(
+    "product", [proper_intersect, tworzewski_index, tworzewski_point_part]
+)
+def test_products_reject_cycles_from_different_rings(product):
+    R5 = Ring(["u", "v", "w"])
+    a = CycleRep.from_ideal(Ideal(R2, ["x"]))
+    b = CycleRep.from_ideal(Ideal(R5, ["u", "v"]))
+    with pytest.raises(InputError, match="cycles from different rings"):
+        product([a, b])
+
+
 # -- extended indices ----------------------------------------------------------------
 
 

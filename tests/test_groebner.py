@@ -221,6 +221,14 @@ def test_block_order_gb():
     assert any(g == R3.parse("y^3 - z^2") or g == R3.parse("-y^3 + z^2") for g in xfree)
 
 
+def test_block_wider_than_ring_is_input_error():
+    T = Ideal(R3, ["y - x^2", "z - x^3"])
+    with pytest.raises(InputError):
+        T.groebner(block_order(9))
+    # a block of all three variables is grevlex on them
+    assert T.groebner(block_order(3)) == T.groebner(GREVLEX)
+
+
 # -- property tests --------------------------------------------------------------
 
 _coeff = st.integers(-9, 9).filter(lambda n: n != 0).map(Fraction)

@@ -179,3 +179,44 @@ def test_lazard_route_matches_mora_property(gens):
     assert _cone_from(standard_basis(I.gens), R2) == _cone_from(
         _standard_basis_lazard(I.gens), R2
     )
+
+
+def test_mora_chain_criterion_saves_a_normal_form(monkeypatch):
+    # the inputs' S-polynomial adds x*y^3; its pair with y^3 + 3*y*z is then
+    # pruned by the chain criterion through x*y*z: one Mora normal form, not two
+    from segrenum import kernel
+    from segrenum.localmult import standard_basis
+
+    K = kernel.get()
+    calls = []
+    mora_nf = K.mora_nf
+
+    def counted(*args):
+        calls.append(args)
+        return mora_nf(*args)
+
+    monkeypatch.setattr(K, "mora_nf", counted)
+    R3 = Ring(["x", "y", "z"])
+    I = Ideal(R3, ["y^3 + 3*y*z", "3*x*y*z"])
+    cone = _cone_from(standard_basis(I.gens), R3)
+    assert len(calls) == 1
+    assert cone.canonical_strings() == ["x*y^3", "y*z"]
+
+
+_exp3 = st.sampled_from(
+    [(a, b, c) for a in range(4) for b in range(4) for c in range(4) if 2 <= a + b + c <= 3]
+)
+_term3 = st.tuples(_exp3, st.integers(-3, 3).filter(bool))
+_poly3 = st.lists(_term3, min_size=1, max_size=3, unique_by=lambda t: t[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_poly3, min_size=2, max_size=4))
+def test_lazard_route_matches_mora_in_three_variables(polys):
+    from segrenum.localmult import _standard_basis_lazard, standard_basis
+
+    R3 = Ring(["x", "y", "z"])
+    I = Ideal(R3, [R3.from_terms(dict(terms)) for terms in polys])
+    assert _cone_from(standard_basis(I.gens), R3) == _cone_from(
+        _standard_basis_lazard(I.gens), R3
+    )
