@@ -1,25 +1,19 @@
 """Build hook for the optional compiled kernel.
 
-The package is pure Python; if Cython (or a C compiler) is missing the
-extension is skipped and segrenum.kernel falls back to the pure twin.
+The package is pure Python.  The extension is compiled from the shipped
+``_speed.c`` by any C compiler, so Cython is needed only to regenerate that
+file after editing ``_speed.pyx``.  If the compiler is missing or fails, the
+extension is skipped and segrenum.kernel uses the pure twin.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [
-            Extension(
-                "segrenum.kernel._speed",
-                ["src/segrenum/kernel/_speed.pyx"],
-                optional=True,
-            )
-        ],
-        language_level=3,
-    )
-except ImportError:
-    extensions = []
-
-setup(ext_modules=extensions)
+setup(
+    ext_modules=[
+        Extension(
+            "segrenum.kernel._speed",
+            ["src/segrenum/kernel/_speed.c"],
+            optional=True,
+        )
+    ]
+)

@@ -16,12 +16,12 @@ other exception: a bug, reported with its traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from importlib import resources
 
-from . import kernel
 from .cycles import (
     circ_index,
     divisor_cut,
@@ -375,15 +375,14 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     common = _ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     common.add_argument("--coeff-bound", type=int, default=DEFAULT_BOUND)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument(
-        "--kernel", choices=("auto",) + kernel.available_backends(), default="auto"
-    )
 
     parser = _ArgumentParser(
         prog="segrenum",
@@ -496,10 +495,7 @@ def render(doc: dict, fmt: str) -> str:
 
 
 def run(argv) -> tuple[dict, str, int]:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    if ns.kernel != "auto":
-        kernel.use_backend(ns.kernel)
+    ns = build_parser().parse_args(argv)
     started = time.perf_counter()
     if ns.command == "corpus":
         result, code = _cmd_corpus(ns)

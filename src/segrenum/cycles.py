@@ -41,10 +41,9 @@ class CycleRep:
 
     ring: Ring
     parts: tuple[tuple[Ideal, int], ...]
-    space: Ideal | None = None
 
     @classmethod
-    def build(cls, ring: Ring, weighted, space: Ideal | None = None) -> "CycleRep":
+    def build(cls, ring: Ring, weighted) -> "CycleRep":
         parts = []
         for ideal, c in weighted:
             if ideal.ring != ring:
@@ -53,7 +52,7 @@ class CycleRep:
             if c == 0 or ideal.is_unit():
                 continue
             parts.append((ideal, c))
-        return cls(ring, tuple(parts), space)
+        return cls(ring, tuple(parts))
 
     @classmethod
     def from_ideal(cls, ideal: Ideal, coeff: int = 1) -> "CycleRep":
@@ -66,7 +65,6 @@ class CycleRep:
         return CycleRep(
             self.ring,
             tuple((ideal.translate(point), c) for ideal, c in self.parts),
-            self.space.translate(point) if self.space else None,
         )
 
 
@@ -83,7 +81,7 @@ def divisor_cut(h: Polynomial, cycle: CycleRep) -> CycleRep:
         if off.is_unit():
             continue
         parts.append((off + (h,), c))
-    return CycleRep(cycle.ring, tuple(parts), cycle.space)
+    return CycleRep(cycle.ring, tuple(parts))
 
 
 # -- linear substitution reduction -------------------------------------------

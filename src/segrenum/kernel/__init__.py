@@ -1,39 +1,23 @@
 """Reduction kernel with two interchangeable backends.
 
-``_pure`` is plain Python; ``_speed`` is the same code compiled with Cython.
-Both operate on primitive integer-coefficient term dicts and must agree bit
-for bit; the compiled backend is used when the extension built successfully.
+``_pure`` is plain Python; ``_speed`` is the same code compiled from the
+shipped ``_speed.c``, which Cython generates from ``_speed.pyx``.  Both
+operate on primitive integer-coefficient term dicts and must agree bit for
+bit.  The build decides the backend: ``setup.py`` compiles the extension
+when a C compiler is present, and this module binds it once, at import;
+without it the pure backend is used.
 """
 
 from . import _pure
 
 try:
-    from . import _speed  # type: ignore[attr-defined]
-except ImportError:  # extension not built; pure fallback
-    _speed = None
-
-_active = _speed if _speed is not None else _pure
+    from . import _speed as _active  # type: ignore[attr-defined]
+except ImportError:  # extension not built
+    _active = _pure
 
 
 def backend_name() -> str:
-    return "compiled" if _active is _speed and _speed is not None else "pure"
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("pure", "compiled") if _speed is not None else ("pure",)
-
-
-def use_backend(name: str) -> None:
-    """Force a backend ('pure' or 'compiled'); raises if unavailable."""
-    global _active
-    if name == "pure":
-        _active = _pure
-    elif name == "compiled":
-        if _speed is None:
-            raise RuntimeError("compiled kernel is not built")
-        _active = _speed
-    else:
-        raise ValueError(f"unknown backend {name!r}")
+    return "pure" if _active is _pure else "compiled"
 
 
 def get():

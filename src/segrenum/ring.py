@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import InputError
+from .orders import GREVLEX
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(
@@ -137,11 +138,6 @@ class AffinePoint:
 
     def negate(self) -> "AffinePoint":
         return AffinePoint(self.ring, tuple(-c for c in self.coords))
-
-
-def _grevlex_desc_key(exp: tuple) -> tuple:
-    # canonical display order; larger key = earlier term
-    return (sum(exp), tuple(-e for e in reversed(exp)))
 
 
 class Polynomial:
@@ -331,7 +327,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts = []
-        for exp in sorted(self.terms, key=_grevlex_desc_key, reverse=True):
+        for exp in sorted(self.terms, key=GREVLEX.key, reverse=True):
             c = self.terms[exp]
             mono = "*".join(
                 f"{self.ring.names[i]}^{k}" if k > 1 else self.ring.names[i]

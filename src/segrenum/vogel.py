@@ -55,9 +55,7 @@ class VogelStep:
 class VogelRun:
     """The full cycle trace of one Vogel sequence, at the origin."""
 
-    def __init__(self, space: Ideal, f: tuple[Polynomial, ...], sequence: VogelSequence, steps: list[VogelStep]):
-        self.space = space
-        self.f = f
+    def __init__(self, sequence: VogelSequence, steps: list[VogelStep]):
         self.sequence = sequence
         self.steps = steps
         self._inside: dict[int, Ideal] = {}
@@ -179,7 +177,7 @@ def vogel_run(f, X: Ideal, sequence: VogelSequence) -> VogelRun:
         steps.append(
             VogelStep(k, cur, off, ld, mult, old, off_mult, mult - off_mult)
         )
-    return VogelRun(X, tuple(f), sequence, steps)
+    return VogelRun(sequence, steps)
 
 
 def _translated(f, X: Ideal, point: AffinePoint | None):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from segrenum import GenericityError, UnresolvedMovingSupportError, kernel
+from segrenum import GenericityError, UnresolvedMovingSupportError
 from segrenum.cli import COMMANDS, corpus_files, corpus_path, main, render, run
 
 CUSP = corpus_path("cusp.prob")
@@ -82,22 +82,6 @@ def test_same_invocation_is_reproducible(capsys):
     b, _ = _json_doc(["segre", "--ideal", "F", "--seed", "5", SCALED], capsys)
     a.pop("elapsed_ms"), b.pop("elapsed_ms")
     assert a == b
-
-
-def test_kernel_flag_payload_parity(capsys):
-    original = kernel.backend_name()
-    docs = {}
-    try:
-        for backend in kernel.available_backends():
-            doc, code = _json_doc(
-                ["segre", "--ideal", "F", "--kernel", backend, SCALED], capsys
-            )
-            assert code == 0
-            doc.pop("elapsed_ms")
-            docs[backend] = doc
-    finally:
-        kernel.use_backend(original)
-    assert len(set(json.dumps(d, sort_keys=True) for d in docs.values())) == 1
 
 
 # -- exit codes --------------------------------------------------------------------

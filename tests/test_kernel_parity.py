@@ -129,27 +129,29 @@ def test_mora_nf_limit_parity():
 # -- whole-pipeline parity -----------------------------------------------------
 
 
-@pytest.fixture
-def restore_backend():
-    original = kernel.backend_name()
-    yield
-    kernel.use_backend(original)
+def _on_each_backend(monkeypatch, compute):
+    outs = []
+    for backend in (_pure, _speed):
+        monkeypatch.setattr(kernel, "_active", backend)
+        outs.append(compute())
+    return outs
 
 
-def test_groebner_identical_across_backends(restore_backend):
+def test_groebner_identical_across_backends(monkeypatch):
     R = Ring(["x1", "x2", "x3"])
-    outs = {}
-    for name in kernel.available_backends():
-        kernel.use_backend(name)
-        outs[name] = Ideal(R, ["x2 - x1^2", "x3 - x1^3"]).canonical_strings()
-    assert outs["pure"] == outs["compiled"]
+    pure, compiled = _on_each_backend(
+        monkeypatch,
+        lambda: Ideal(R, ["x2 - x1^2", "x3 - x1^3"]).canonical_strings(),
+    )
+    assert pure == compiled
 
 
-def test_segre_identical_across_backends(restore_backend):
+def test_segre_identical_across_backends(monkeypatch):
     T3 = Ring(["t1", "t2", "t3"])
-    outs = {}
-    for name in kernel.available_backends():
-        kernel.use_backend(name)
+
+    def segre():
         res = segre_at(["t3*t1", "t3*t2", "t3^2"], Ideal(T3, ()), trials=2)
-        outs[name] = (res.values, res.trial_vectors)
-    assert outs["pure"] == outs["compiled"]
+        return res.values, res.trial_vectors
+
+    pure, compiled = _on_each_backend(monkeypatch, segre)
+    assert pure == compiled

@@ -5,9 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segrenum import GREVLEX, GRLEX, LEX, LOCAL, InputError, MonomialOrder, block_order
+from segrenum.kernel import _pure
 from segrenum.orders import order_from_name
 
 _exp3 = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
+# small exponents, so that equal total degrees (the tie-break paths) are common
+_exp4 = st.tuples(*[st.integers(0, 3)] * 4)
 
 
 def _sorted_desc(order, exps):
@@ -98,3 +101,13 @@ def test_global_orders_bound_below_by_one(e):
         assert order.key(e) >= order.key(one)
     if e != one:
         assert LOCAL.key(e) < LOCAL.key(one)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exp4, _exp4)
+def test_key_agrees_with_kernel_comparison(a, b):
+    # the kernel compares by order code; MonomialOrder.key is the second definition
+    for order in (GREVLEX, LEX, GRLEX, LOCAL, block_order(1), block_order(2)):
+        ka, kb = order.key(a), order.key(b)
+        sign = (ka > kb) - (ka < kb)
+        assert sign == _pure.cmp_exp(a, b, order.code, order.block), (order, a, b)
