@@ -4,9 +4,22 @@ Polynomials here are dicts mapping exponent tuples to nonzero ints, kept
 primitive (coefficient gcd 1) wherever noted.  Order codes match
 segrenum.orders: 0 grevlex, 1 lex, 2 block elimination, 3 local
 (negative-degree grevlex), 4 grlex.
+
+Leads are found through ``_key``, one sort key per order whose smallest
+value belongs to the largest monomial, built from C-level tuple operations
+so that ``min`` and ``heapq`` compare keys without calling back into Python.
+``reduce_full`` and ``mora_nf`` keep a heap of ``(key, exponent)`` entries
+over the terms still to be reduced.  A cancellation pushes an entry only for
+an exponent that is not yet a term; stale entries (terms that cancelled or
+moved to the remainder) are popped and dropped until the top is still a
+term.  Each step still takes the largest remaining term, as a full rescan
+would, so remainders, multipliers and dict orders are those of the rescan.
+Exponent arithmetic maps ``operator`` functions over the tuples.
 """
 
+from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import add, ge, neg, sub
 
 
 def cmp_exp(a, b, code, block):
@@ -67,33 +80,44 @@ def cmp_exp(a, b, code, block):
     return 0
 
 
+def _key(code, block):
+    """Sort key for the coded order: the smallest key is the largest monomial."""
+    if code == 0:  # grevlex
+        return lambda e: (-sum(e), e[::-1])
+    if code == 1:  # lex
+        return lambda e: tuple(map(neg, e))
+    if code == 2:  # block: grevlex front, then grevlex back
+        return lambda e: (
+            -sum(e[:block]),
+            e[:block][::-1],
+            -sum(e[block:]),
+            e[block:][::-1],
+        )
+    if code == 3:  # local: smaller degree is bigger
+        return lambda e: (sum(e), e[::-1])
+    return lambda e: (-sum(e), tuple(map(neg, e)))  # grlex
+
+
 def lead_exp(p, code, block):
     """Largest exponent of a nonempty term dict."""
-    best = None
-    for e in p:
-        if best is None or cmp_exp(e, best, code, block) > 0:
-            best = e
-    return best
+    return min(p, key=_key(code, block))
 
 
 def exp_div(a, b):
     """True when monomial b divides monomial a."""
-    for x, y in zip(a, b):
-        if y > x:
-            return False
-    return True
+    return all(map(ge, a, b))
 
 
 def exp_lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def exp_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def exp_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def content(p):
@@ -115,26 +139,42 @@ def make_primitive(p):
     return {e: c // g for e, c in p.items()}
 
 
-def _cancel_lead(h, e, b, le, lc, g):
-    """h := a*h - (b/d)*x^(e-le)*g with a = lc/d; returns the factor a applied to h."""
-    d = gcd(lc, b)
+def _cancel_lead(h, e, le, lc, g, heap, key):
+    """h := a*h - b*x^(e-le)*g, which cancels the lead term e; returns a.
+
+    Exponents the cancellation adds to h are pushed onto the lead heap."""
+    c = h[e]
+    d = gcd(lc, c)
     a = lc // d
-    b = b // d
+    b = c // d
     if a < 0:
         a = -a
         b = -b
     if a != 1:
         for k in h:
             h[k] *= a
-    shift = exp_sub(e, le)
-    for ge, gc in g.items():
-        k = exp_add(ge, shift)
-        v = h.get(k, 0) - b * gc
-        if v:
-            h[k] = v
+    shift = tuple(map(sub, e, le))
+    for ke, gc in g.items():
+        k = tuple(map(add, ke, shift))
+        v = h.get(k)
+        if v is None:
+            h[k] = -b * gc
+            heappush(heap, (key(k), k))
         else:
-            h.pop(k, None)
+            v -= b * gc
+            if v:
+                h[k] = v
+            else:
+                del h[k]
     return a
+
+
+def _pop_lead(h, heap):
+    """Pop heap entries until one is still a term of h; return its exponent."""
+    e = heappop(heap)[1]
+    while e not in h:
+        e = heappop(heap)[1]
+    return e
 
 
 def reduce_full(p, basis, code, block):
@@ -145,26 +185,26 @@ def reduce_full(p, basis, code, block):
     modulo the ideal generated by the basis; the exact normal form is
     remainder * mden / mnum.
     """
+    key = _key(code, block)
     h = dict(p)
+    heap = [(key(e), e) for e in h]
+    heapify(heap)
     r = {}
     mnum = 1
     mden = 1
     steps = 0
     while h:
-        e = lead_exp(h, code, block)
-        hit = None
+        e = _pop_lead(h, heap)
         for le, lc, g in basis:
-            if exp_div(e, le):
-                hit = (le, lc, g)
+            if all(map(ge, e, le)):
                 break
-        if hit is None:
+        else:
             r[e] = h.pop(e)
             continue
-        a = _cancel_lead(h, e, h[e], hit[0], hit[1], hit[2])
+        a = _cancel_lead(h, e, le, lc, g, heap, key)
         if a != 1:
-            if r:
-                for k in r:
-                    r[k] *= a
+            for k in r:
+                r[k] *= a
             mnum *= a
         steps += 1
         if steps & 7 == 0 and h:
@@ -186,22 +226,22 @@ def reduce_full(p, basis, code, block):
 
 def spoly(f, lf, cf, g, lg, cg, code, block):
     """Primitive S-polynomial of primitive inputs with precomputed leads."""
-    L = exp_lcm(lf, lg)
+    L = tuple(map(max, lf, lg))
     d = gcd(cf, cg)
     af = cg // d
     ag = cf // d
-    sf = exp_sub(L, lf)
-    sg = exp_sub(L, lg)
+    sf = tuple(map(sub, L, lf))
+    sg = tuple(map(sub, L, lg))
     out = {}
     for e, c in f.items():
-        out[exp_add(e, sf)] = af * c
+        out[tuple(map(add, e, sf))] = af * c
     for e, c in g.items():
-        k = exp_add(e, sg)
+        k = tuple(map(add, e, sg))
         v = out.get(k, 0) - ag * c
         if v:
             out[k] = v
         else:
-            out.pop(k, None)
+            del out[k]
     return make_primitive(out)
 
 
@@ -216,29 +256,27 @@ def mora_nf(p, basis, code, block, limit=0):
     A nonzero ``limit`` caps the reduction steps; when exceeded, returns None
     so the caller can fall back to a homogenization-based computation.
     """
+    key = _key(code, block)
     T = list(basis)
     h = make_primitive(dict(p))
+    heap = [(key(e), e) for e in h]
+    heapify(heap)
     steps = 0
     while h:
         steps += 1
         if limit and steps > limit:
             return None
-        e = lead_exp(h, code, block)
+        e = _pop_lead(h, heap)
         best = None
         for entry in T:
-            if exp_div(e, entry[0]):
+            if all(map(ge, e, entry[0])):
                 if best is None or entry[2] < best[2]:
                     best = entry
         if best is None:
             return h
-        eh = 0
-        for k in h:
-            s = sum(k)
-            if s > eh:
-                eh = s
-        eh -= sum(e)
+        eh = max(map(sum, h)) - sum(e)
         if best[2] > eh:
             T.append((e, h[e], eh, dict(h)))
-        _cancel_lead(h, e, h[e], best[0], best[1], best[3])
+        _cancel_lead(h, e, best[0], best[1], best[3], heap, key)
         h = make_primitive(h)
     return {}

@@ -16,6 +16,7 @@ kernel dispatches on.  Supported families:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 
 from .errors import InputError
 
@@ -25,6 +26,14 @@ CODE_BLOCK = 2
 CODE_LOCAL = 3
 CODE_GRLEX = 4
 
+_CODES = {
+    "grevlex": CODE_GREVLEX,
+    "lex": CODE_LEX,
+    "block": CODE_BLOCK,
+    "local": CODE_LOCAL,
+    "grlex": CODE_GRLEX,
+}
+
 
 @dataclass(frozen=True)
 class MonomialOrder:
@@ -33,31 +42,25 @@ class MonomialOrder:
 
     @property
     def code(self) -> int:
-        return {
-            "grevlex": CODE_GREVLEX,
-            "lex": CODE_LEX,
-            "block": CODE_BLOCK,
-            "local": CODE_LOCAL,
-            "grlex": CODE_GRLEX,
-        }[self.kind]
+        return _CODES[self.kind]
 
     def key(self, exp: tuple) -> tuple:
         """Sort key; comparing keys compares monomials."""
-        code = self.code
+        code = _CODES[self.kind]
         if code == CODE_GREVLEX:
-            return (sum(exp), tuple(-e for e in reversed(exp)))
+            return (sum(exp), tuple(map(neg, reversed(exp))))
         if code == CODE_LEX:
             return exp
         if code == CODE_BLOCK:
             f, b = exp[: self.block], exp[self.block :]
             return (
                 sum(f),
-                tuple(-e for e in reversed(f)),
+                tuple(map(neg, reversed(f))),
                 sum(b),
-                tuple(-e for e in reversed(b)),
+                tuple(map(neg, reversed(b))),
             )
         if code == CODE_LOCAL:
-            return (-sum(exp), tuple(-e for e in reversed(exp)))
+            return (-sum(exp), tuple(map(neg, reversed(exp))))
         return (sum(exp), exp)  # grlex
 
     def is_global(self) -> bool:

@@ -153,7 +153,7 @@ def random_vogel_sequence(
     )
 
 
-def vogel_run(f, X: Ideal, sequence: VogelSequence) -> VogelRun:
+def vogel_run(X: Ideal, sequence: VogelSequence) -> VogelRun:
     """Run the cycle construction for one sequence; everything at the origin."""
     n = len(sequence.elements)
     steps: list[VogelStep] = []
@@ -210,7 +210,7 @@ def run_trials(
     runs = []
     for _ in range(trials):
         seq = random_vogel_sequence(ft, Xt, rng, bound)
-        runs.append(vogel_run(ft, Xt, seq))
+        runs.append(vogel_run(Xt, seq))
     return runs
 
 

@@ -1,0 +1,221 @@
+"""The pure kernel against reference copies of its rescanning loops.
+
+``reduce_full`` and ``mora_nf`` take each lead from a heap of order keys,
+and ``lead_exp`` takes ``min`` over the same keys.  The references below
+find every lead by rescanning the whole polynomial with ``cmp_exp``;
+results, multipliers and dict orders must agree exactly, on every order
+code, including block elimination with an empty front block and with the
+whole ring in front.  These tests run whether or not the compiled kernel
+is built.
+"""
+
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from segrenum.kernel import _pure
+
+GREVLEX, LEX, BLOCK, LOCAL, GRLEX = range(5)
+
+
+def _ref_lead(p, code, block):
+    best = None
+    for e in p:
+        if best is None or _pure.cmp_exp(e, best, code, block) > 0:
+            best = e
+    return best
+
+
+def _divides(b, a):
+    return all(x >= y for x, y in zip(a, b))
+
+
+def _ref_cancel(h, e, b, le, lc, g):
+    d = gcd(lc, b)
+    a = lc // d
+    b = b // d
+    if a < 0:
+        a, b = -a, -b
+    if a != 1:
+        for k in h:
+            h[k] *= a
+    shift = tuple(x - y for x, y in zip(e, le))
+    for ge, gc in g.items():
+        k = tuple(x + y for x, y in zip(ge, shift))
+        v = h.get(k, 0) - b * gc
+        if v:
+            h[k] = v
+        else:
+            h.pop(k, None)
+    return a
+
+
+def _ref_reduce_full(p, basis, code, block):
+    h = dict(p)
+    r = {}
+    mnum = mden = 1
+    steps = 0
+    while h:
+        e = _ref_lead(h, code, block)
+        hit = next((t for t in basis if _divides(t[0], e)), None)
+        if hit is None:
+            r[e] = h.pop(e)
+            continue
+        a = _ref_cancel(h, e, h[e], *hit)
+        if a != 1:
+            for k in r:
+                r[k] *= a
+            mnum *= a
+        steps += 1
+        if steps & 7 == 0 and h:
+            g0 = _pure.content(h)
+            if r:
+                g0 = gcd(g0, _pure.content(r))
+            if g0 > 1:
+                for k in h:
+                    h[k] //= g0
+                for k in r:
+                    r[k] //= g0
+                mden *= g0
+    g1 = gcd(mnum, mden)
+    return r, mnum // g1, mden // g1
+
+
+def _ref_mora_nf(p, basis, code, block, limit=0):
+    T = list(basis)
+    h = _pure.make_primitive(dict(p))
+    steps = 0
+    while h:
+        steps += 1
+        if limit and steps > limit:
+            return None
+        e = _ref_lead(h, code, block)
+        best = None
+        for entry in T:
+            if _divides(entry[0], e) and (best is None or entry[2] < best[2]):
+                best = entry
+        if best is None:
+            return h
+        eh = max(sum(k) for k in h) - sum(e)
+        if best[2] > eh:
+            T.append((e, h[e], eh, dict(h)))
+        _ref_cancel(h, e, h[e], best[0], best[1], best[3])
+        h = _pure.make_primitive(h)
+    return {}
+
+
+# small coefficients, so that cancellations beyond the lead term are common
+_coeff = st.integers(-4, 4).filter(bool)
+
+
+@st.composite
+def _setting(draw):
+    """(arity, code, block): every order code, block from 0 to the arity."""
+    n = draw(st.integers(1, 4))
+    code = draw(st.sampled_from([GREVLEX, LEX, BLOCK, LOCAL, GRLEX]))
+    block = draw(st.integers(0, n)) if code == BLOCK else 0
+    return n, code, block
+
+
+def _poly(draw, n, max_size=8):
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    return draw(st.dictionaries(exps, _coeff, min_size=1, max_size=max_size))
+
+
+def _homogeneous(p):
+    """Terms of p in the degree of its first term: under the local order,
+    reducing by these only moves terms within one degree, so it terminates."""
+    d = sum(next(iter(p)))
+    return {e: c for e, c in p.items() if sum(e) == d}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _setting())
+def test_lead_exp_is_the_cmp_exp_maximum(data, setting):
+    n, code, block = setting
+    p = _poly(data.draw, n, max_size=12)
+    assert _pure.lead_exp(p, code, block) == _ref_lead(p, code, block)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _setting())
+def test_reduce_full_matches_the_rescanning_loop(data, setting):
+    n, code, block = setting
+    p = _pure.make_primitive(_poly(data.draw, n))
+    basis = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        g = _poly(data.draw, n, max_size=4)
+        if code == LOCAL:
+            g = _homogeneous(g)
+        g = _pure.make_primitive(g)
+        le = _ref_lead(g, code, block)
+        basis.append((le, g[le], g))
+    got = _pure.reduce_full(dict(p), basis, code, block)
+    want = _ref_reduce_full(dict(p), basis, code, block)
+    assert got == want
+    assert list(got[0]) == list(want[0])
+
+
+def _mora_entry(g):
+    g = _pure.make_primitive(g)
+    le = _ref_lead(g, LOCAL, 0)
+    return le, g[le], max(map(sum, g)) - sum(le), g
+
+
+def _check_mora_nf(p, basis, limit):
+    got = _pure.mora_nf(dict(p), basis, LOCAL, 0, limit)
+    want = _ref_mora_nf(dict(p), basis, LOCAL, 0, limit)
+    assert got == want
+    assert got is None or list(got) == list(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 4))
+def test_mora_nf_matches_the_rescanning_loop(data, n):
+    # homogeneous reducers keep every cancellation inside one degree, so the
+    # weak normal form is reached in few steps
+    p = _pure.make_primitive(_poly(data.draw, n))
+    count = data.draw(st.integers(1, 4))
+    gens = [_homogeneous(_poly(data.draw, n, max_size=4)) for _ in range(count)]
+    basis = [_mora_entry(g) for g in gens]
+    _check_mora_nf(p, basis, data.draw(st.sampled_from([0, 1, 3])))
+
+
+# the standard basis of (x^2 - y^3, x*y) under the local order; x^2 - y^3 has
+# ecart 1, so reducing a polynomial of ecart 0 by it grows the reducer set
+_STANDARD_BASIS = [
+    {(2, 0): 1, (0, 3): -1},
+    {(1, 1): 1},
+    {(0, 4): 1},
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mora_nf_by_a_standard_basis_matches_the_rescanning_loop(data):
+    p = _pure.make_primitive(_poly(data.draw, 2, max_size=6))
+    _check_mora_nf(p, [_mora_entry(g) for g in _STANDARD_BASIS], 0)
+
+
+def test_stale_heap_entries_are_skipped():
+    # x*y cancels along with the lead, so its heap entry goes stale and is
+    # the next one popped
+    p = {(1, 0): 1, (1, 1): 1, (0, 2): 1}
+    g = {(1, 0): 1, (1, 1): 1}
+    assert _pure.mora_nf(dict(p), [_mora_entry(g)], LOCAL, 0) == {(0, 2): 1}
+    p = {(2, 0): 1, (1, 1): 1, (0, 2): 1}
+    g = {(2, 0): 1, (1, 1): 1}
+    got = _pure.reduce_full(dict(p), [((2, 0), 1, g)], GREVLEX, 0)
+    assert got == ({(0, 2): 1}, 1, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 5))
+def test_exponent_arithmetic(data, n):
+    exps = st.tuples(*[st.integers(0, 6)] * n)
+    a, b = data.draw(exps), data.draw(exps)
+    assert _pure.exp_add(a, b) == tuple(x + y for x, y in zip(a, b))
+    assert _pure.exp_sub(a, b) == tuple(x - y for x, y in zip(a, b))
+    assert _pure.exp_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+    assert _pure.exp_div(a, b) == _divides(b, a)

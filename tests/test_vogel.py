@@ -179,13 +179,13 @@ def test_vogel_run_reads_the_certified_chain(monkeypatch):
     for k, off in enumerate(seq.off):
         assert off == (X + seq.elements[:k]).saturate(fid)
     assert verify_vogel_condition(["x", "x"], Ideal(R2, ()), Ideal(R2, ["x", "y"])) == (False, 2)
-    expected = vogel_run(f, X, seq)
+    expected = vogel_run(X, seq)
 
     def no_saturation(self, other):
         raise AssertionError("vogel_run saturated an ideal")
 
     monkeypatch.setattr(Ideal, "saturate", no_saturation)
-    run = vogel_run(f, X, seq)
+    run = vogel_run(X, seq)
     assert run.mult_z == expected.mult_z and run.mult_off == expected.mult_off
 
 
