@@ -637,4 +637,4 @@ def implicitize(components, param_ring: Ring, target_ring: Ring) -> Ideal:
         ideal = Ideal(
             target_ring, [g.substitute(fix, target_ring) for g in ideal.gens]
         )
-    return Ideal(target_ring, ideal.groebner())
+    return Ideal._of_basis(target_ring, ideal.groebner())

@@ -7,6 +7,10 @@ reduces the same S-polynomials in the same order and produces the same
 intermediate bases.  The pair loop and both criteria live in one engine,
 ``_complete``, shared with Mora's local standard bases (``localmult``),
 which differ only in the normal form and the reducer rows they pass in.
+Buchberger's normal form keeps the rows tail-reduced as the basis grows
+(Buchberger 1985): each new element rewrites the tails of the earlier rows
+that its lead divides, so later reductions stop dragging those tails
+through big-integer rescaling.  Leads are never changed.
 All reductions run fraction-free over int through the kernel backends, with
 content removed as coefficients grow.
 Reduced bases are monic and sorted by decreasing lead, so equal ideals have
@@ -85,7 +89,10 @@ def _complete(G: list[dict], order: MonomialOrder, nf, row) -> list:
 
     G holds primitive int term dicts; row(z) is an element's reducer row
     (lead exp, lead coeff, ..., z) and nf(s, rows) reduces an S-polynomial
-    against the rows so far, {} when it vanishes.  Pairs (i, t), i < t, sit
+    against the rows so far, {} when it vanishes.  nf may rewrite the tails
+    of earlier rows in place, as positive multiples of the old row minus
+    multiples of its result below the lead, but never their leads; so every
+    popped pair keeps a representation below its lcm.  Pairs (i, t), i < t, sit
     in a heap keyed once, when pushed, by (order.key(lcm of the leads), i, t):
     leads never change, so the key stays valid.  A pair is skipped when its
     leads are coprime or by the chain criterion: another lead divides their
@@ -145,7 +152,23 @@ def _reduced_groebner(zgens: list[dict], order: MonomialOrder) -> list[dict]:
         return (le, z[le], z)
 
     def nf(s, rows):
-        return K.make_primitive(K.reduce_full(s, rows, code, block)[0])
+        r = K.make_primitive(K.reduce_full(s, rows, code, block)[0])
+        if r:
+            # keep the rows tail-reduced: rewrite every earlier tail that the
+            # new lead divides, by r alone; the row's lead never changes
+            lr = K.lead_exp(r, code, block)
+            by_r = [row(r)]
+            for k, (le, lc, z) in enumerate(rows):
+                if any(e != le and K.exp_div(e, lr) for e in z):
+                    tail = dict(z)
+                    del tail[le]
+                    t, mn, md = K.reduce_full(tail, by_r, code, block)
+                    w = {le: lc * mn}
+                    for e, c in t.items():
+                        w[e] = md * c
+                    w = K.make_primitive(w)
+                    rows[k] = (le, w[le], w)
+        return r
 
     basis = _complete(G, order, nf, row)
 
@@ -175,6 +198,8 @@ def normal_form(p: Polynomial, gens, order: MonomialOrder = GREVLEX) -> Polynomi
     the order; otherwise some remainder under the fixed reduction strategy.
     """
     K = kernel.get()
+    if any(g.ring != p.ring for g in gens):
+        raise InputError("polynomial from a different ring")
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return p
@@ -225,6 +250,14 @@ class Ideal:
         self.gens = tuple(g for g in gens if not g.is_zero())
         self._gb: dict = {}
         self._hilbert = None
+
+    @classmethod
+    def _of_basis(cls, ring: Ring, basis) -> "Ideal":
+        """The ideal generated by basis, which is already its reduced
+        grevlex basis (monic, sorted by decreasing lead), cached as such."""
+        out = cls(ring, basis)
+        out._gb[GREVLEX] = out.gens
+        return out
 
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.gens) or "0"
@@ -326,6 +359,8 @@ class Ideal:
 
     def saturate_poly(self, g: Polynomial) -> "Ideal":
         """I : g^inf = (I + (1 - t*g)) cap k[x]: one elimination of a fresh t."""
+        if g.ring != self.ring:
+            raise InputError("polynomial from a different ring")
         if g.is_zero():
             raise InputError("saturation by the zero polynomial")
         ext = _front_ring(self.ring)
@@ -335,6 +370,8 @@ class Ideal:
 
     def saturate(self, other: "Ideal") -> "Ideal":
         """I : J^inf as the intersection of the per-generator saturations."""
+        if other.ring != self.ring:
+            raise InputError("ideals from different rings")
         gens = [g for g in other.gens if not g.is_zero()]
         if not gens:
             raise InputError("saturation by the zero ideal")
@@ -374,7 +411,9 @@ class Ideal:
         for g in gb:
             if not any(any(e[:nd]) for e in g.terms):
                 kept.append(Polynomial(target, {e[nd:]: c for e, c in g.terms.items()}))
-        return Ideal(target, kept)
+        # the block order restricts to grevlex on the kept variables, so the
+        # kept elements are the reduced grevlex basis, in its order
+        return Ideal._of_basis(target, kept)
 
     # -- numeric invariants ------------------------------------------------------
 

@@ -268,7 +268,7 @@ def _merged_inside(runs, k) -> Ideal | None:
     gens = []
     for p in parts:
         gens.extend(p.groebner())
-    return Ideal(parts[0].ring, Ideal(parts[0].ring, gens).groebner())
+    return Ideal._of_basis(parts[0].ring, Ideal(parts[0].ring, gens).groebner())
 
 
 def fixed_support(f, X, point=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, bound=DEFAULT_BOUND) -> FixedReport:

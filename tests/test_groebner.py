@@ -1,5 +1,7 @@
 """Buchberger engine and the ideal lattice."""
 
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,9 +14,11 @@ from segrenum import (
     HilbertData,
     Ideal,
     InputError,
+    Polynomial,
     Ring,
     normal_form,
 )
+from segrenum import kernel
 from segrenum.groebner import exact_div, hilbert_of_leads
 from segrenum.orders import block_order
 
@@ -84,6 +88,60 @@ def test_exact_div():
     assert exact_div(f, g) == R2.parse("x + 1/2*y")
     with pytest.raises(InputError):
         exact_div(R2.parse("x + 1"), g)
+
+
+@pytest.mark.parametrize(
+    "method", ["contains", "normal_form", "radical_contains", "saturate_poly", "saturate"]
+)
+def test_argument_from_another_ring_is_input_error(method):
+    # same arity, other names: nothing may be computed by position
+    S = Ring(["u", "v"])
+    arg = Ideal(S, ["u"]) if method == "saturate" else S.parse("u*v")
+    with pytest.raises(InputError):
+        getattr(Ideal(R2, ["x*y"]), method)(arg)
+
+
+# -- pinned work counts ------------------------------------------------------------
+
+R4 = Ring(["w", "x", "y", "z"])
+DENSE4 = [
+    "-3*w^2 + 3*w*x + 6*x^2 + 6*w*y - 6*x*y - 7*y^2 + 5*w*z - x*z + 9*y*z - 5*z^2 + 3*w - 9*x + 6*y - 6*z + 4",
+    "-9*w^2 - 9*w*x - 6*x^2 - 9*w*y + 9*x*y - y^2 + w*z - 2*x*z + 5*y*z - 9*z^2 - 3*w + 3*x - 9*y + 8*z + 4",
+    "-2*w^2 - 2*w*x + 8*x^2 + 2*w*y + 6*x*y - 2*y^2 - 2*w*z + 5*x*z + 7*y*z - 9*z^2 + 4*w - 9*x + 5*z + 8",
+    "-3*w*x + 7*x^2 + 7*w*y + x*y + 4*w*z - 6*x*z - 4*y*z - 6*z^2 + 7*w + 6*x + 9*y + 3",
+]  # fmt: skip
+SPOLYS, ZEROS = 28, 18
+LEADS = [
+    "z^5", "w*z^3", "x*z^3", "y*z^3", "x*y^2", "y^3", "x*y*z", "y^2*z", "w^2", "w*x", "x^2", "w*y"
+]  # fmt: skip
+BASIS_SHA256 = "9735bf4f4bd6b88e553f7d29a175aaa916575563e0cf79a464236be0e30d2821"
+
+
+def test_dense_quadrics_pair_counts_and_basis(monkeypatch):
+    """Four dense quadrics in four variables: the S-polynomials formed, the
+    remainders that vanish and the basis are pinned, so a change to the
+    reducer rows cannot change which pairs the loop reduces."""
+    K = kernel.get()
+    spoly, reduce_full = K.spoly, K.reduce_full
+    counts = {"spoly": 0, "zero": 0}
+
+    def counted_spoly(*args):
+        counts["spoly"] += 1
+        return spoly(*args)
+
+    def counted_reduce_full(*args):
+        out = reduce_full(*args)
+        counts["zero"] += not out[0]
+        return out
+
+    monkeypatch.setattr(K, "spoly", counted_spoly)
+    monkeypatch.setattr(K, "reduce_full", counted_reduce_full)
+    I = Ideal(R4, DENSE4)
+    gb = I.groebner()
+    assert counts == {"spoly": SPOLYS, "zero": ZEROS}
+    assert [str(R4.from_terms({e: 1})) for e in I.leading_exponents()] == LEADS
+    text = "\n".join(str(g) for g in gb)
+    assert hashlib.sha256(text.encode()).hexdigest() == BASIS_SHA256
 
 
 # -- lattice operations ----------------------------------------------------------
@@ -269,34 +327,73 @@ def test_saturate_poly_matches_iterated_quotient(gens, g):
     assert I.saturate_poly(g) == _iterated_quotient(I, g)
 
 
+def _sympy_basis(sympy, gens, order_name):
+    """SymPy's reduced basis of gens, as monic polynomials of their ring."""
+    ring = gens[0].ring
+    syms = sympy.symbols(ring.names)
+    exprs = [
+        sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator) for e, c in g.terms.items()}, *syms
+        ).as_expr()
+        for g in gens
+    ]
+    basis = sympy.groebner(exprs, *syms, order=order_name, domain="QQ")
+    polys = [
+        ring.from_terms({e: Fraction(int(c.p), int(c.q)) for e, c in q.as_dict().items()})
+        for q in basis.polys
+    ]
+    order = LEX if order_name == "lex" else GREVLEX
+    return [p.scale(1 / p.terms[max(p.terms, key=order.key)]) for p in polys]
+
+
 def test_reduced_bases_match_sympy():
     sympy = pytest.importorskip("sympy")
-    x, y = sympy.symbols("x y")
-
-    def to_sympy(p):
-        return sum(
-            sympy.Rational(c.numerator, c.denominator) * x ** e[0] * y ** e[1]
-            for e, c in p.terms.items()
-        )
-
-    def monic(p, order):
-        lead = p.terms[max(p.terms, key=order.key)]
-        return str(p.scale(1 / lead))
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(_poly2, min_size=1, max_size=3))
     def check(gens):
-        exprs = [to_sympy(g) for g in gens]
         for order, name in ((GREVLEX, "grevlex"), (LEX, "lex")):
             ours = [str(g) for g in Ideal(R2, gens).groebner(order)]
-            theirs = sympy.groebner(exprs, x, y, order=name, domain="QQ")
-            polys = [
-                R2.from_terms({e: Fraction(int(c.p), int(c.q)) for e, c in q.as_dict().items()})
-                for q in theirs.polys
-            ]
-            assert sorted(ours) == sorted(monic(p, order) for p in polys), name
+            theirs = _sympy_basis(sympy, gens, name)
+            assert sorted(ours) == sorted(str(p) for p in theirs), name
 
     check()
+
+
+_MONOS3 = [e for e in itertools.product(range(3), repeat=3) if sum(e) <= 2]
+_quad3 = st.dictionaries(st.sampled_from(_MONOS3), _coeff, min_size=1, max_size=4).map(
+    R3.from_terms
+)
+
+
+def test_reduced_bases_match_sympy_in_three_variables():
+    sympy = pytest.importorskip("sympy")
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(_quad3, min_size=2, max_size=3))
+    def check(gens):
+        I = Ideal(R3, gens)
+        for order, name in ((GREVLEX, "grevlex"), (LEX, "lex")):
+            ours = [str(g) for g in I.groebner(order)]
+            assert sorted(ours) == sorted(str(p) for p in _sympy_basis(sympy, gens, name)), name
+        # the x-free part of a lex basis generates the elimination ideal
+        out = I.eliminate([0])
+        free = [
+            Polynomial(out.ring, {e[1:]: c for e, c in p.terms.items()})
+            for p in _sympy_basis(sympy, gens, "lex")
+            if not any(e[0] for e in p.terms)
+        ]
+        assert out == Ideal(out.ring, free)
+
+    check()
+
+
+@pytest.mark.parametrize("nd", range(4))
+@settings(max_examples=20, deadline=None)
+@given(gens=st.lists(_quad3, min_size=1, max_size=3), perm=st.permutations(range(3)))
+def test_eliminate_caches_its_grevlex_basis(nd, gens, perm):
+    out = Ideal(R3, gens).eliminate(perm[:nd])
+    assert out.groebner() == Ideal(out.ring, out.gens).groebner()
 
 
 @settings(max_examples=30, deadline=None)
