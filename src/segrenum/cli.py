@@ -8,9 +8,10 @@ One command per invocation, operating on a problem file:
 
 Reports are deterministic for fixed (file, command, seed, trials,
 coeff-bound); timing is reported but excluded from comparisons.  Exit codes:
-0 success, 1 failed expectation check, 2 input error, 3 genericity failure,
-4 improper intersection, 5 unresolved moving support, 6 internal error (any
-other exception: a bug, reported with its traceback).
+0 success, 1 failed expectation check, the error type's own code for a
+``SegrenumError`` (2 input, 3 genericity, 4 improper intersection, 5
+unresolved moving support), 6 internal error (any other exception: a bug,
+reported with its traceback).
 """
 
 from __future__ import annotations
@@ -30,13 +31,7 @@ from .cycles import (
     tworzewski_index,
     tworzewski_point_part,
 )
-from .errors import (
-    GenericityError,
-    ImproperIntersectionError,
-    InputError,
-    SegrenumError,
-    UnresolvedMovingSupportError,
-)
+from .errors import InputError, SegrenumError
 from .localmult import colength, local_dim_mult, tangent_cone
 from .orders import order_from_name
 from .problem import Problem, load_problem
@@ -51,10 +46,6 @@ from .vogel import (
 )
 
 EXIT_CHECK_FAILED = 1
-EXIT_INPUT = 2
-EXIT_GENERICITY = 3
-EXIT_IMPROPER = 4
-EXIT_UNRESOLVED = 5
 EXIT_INTERNAL = 6
 
 
@@ -98,19 +89,12 @@ def _cmd_dim(problem, args):
 
 
 def _cmd_mult(problem, args):
-    ideal = problem.ideal(args.ideal)
-    point = _point_of(problem, args)
-    if point is not None and not point.is_origin():
-        ideal = ideal.translate(point)
-    d, m = local_dim_mult(ideal)
+    d, m = local_dim_mult(problem.ideal(args.ideal), _point_of(problem, args))
     return {"dim": d, "mult": m}
 
 
 def _cmd_tangent_cone(problem, args):
-    ideal = problem.ideal(args.ideal)
-    point = _point_of(problem, args)
-    if point is not None and not point.is_origin():
-        ideal = ideal.translate(point)
+    ideal = problem.ideal(args.ideal).translate(_point_of(problem, args))
     return {"generators": tangent_cone(ideal).canonical_strings()}
 
 
@@ -522,18 +506,9 @@ def run(argv) -> tuple[dict, str, int]:
 def main(argv=None) -> int:
     try:
         doc, fmt, code = run(sys.argv[1:] if argv is None else argv)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except GenericityError as exc:
-        print(f"genericity failure: {exc}", file=sys.stderr)
-        return EXIT_GENERICITY
-    except ImproperIntersectionError as exc:
-        print(f"improper intersection: {exc}", file=sys.stderr)
-        return EXIT_IMPROPER
-    except UnresolvedMovingSupportError as exc:
-        print(f"unresolved moving support: {exc}", file=sys.stderr)
-        return EXIT_UNRESOLVED
+    except SegrenumError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except Exception as exc:
         import traceback  # only this path needs it; importing it costs every run memory
 

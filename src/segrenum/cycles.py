@@ -275,10 +275,6 @@ def _apply_shear(mat, eta):
     return out
 
 
-def _dim_of(ideal: Ideal) -> int:
-    return -1 if ideal.is_unit() else ideal.krull_dimension()
-
-
 def _cut_combo(prod: ProductSpace, dims_sum: int, seed: int):
     """Iterated diagonal cuts on one product; returns the final Ideal on the
     reduced ring together with its Reduction, or None when the intersection
@@ -299,7 +295,7 @@ def _cut_combo(prod: ProductSpace, dims_sum: int, seed: int):
             form = forms[idx]
             if form.is_zero():
                 # the cut already follows from earlier substitutions
-                if _dim_of(cur) == cur_dim - 1:
+                if cur.krull_dimension() == cur_dim - 1:
                     cur_dim -= 1
                     continue
                 ok = False
@@ -319,7 +315,7 @@ def _cut_combo(prod: ProductSpace, dims_sum: int, seed: int):
             )
             cur = Ideal(sub.ring, sub.gens)
             forms = [None] * (idx + 1) + sub.aux[0]
-            d = _dim_of(cur)
+            d = cur.krull_dimension()
             if d == -1:
                 empty = True
                 break
@@ -344,12 +340,7 @@ def cycle_local_mult(cycle: CycleRep, point: AffinePoint | None = None) -> int:
     total = 0
     for ideal, c in cycle.parts:
         expected = ideal.krull_dimension()
-        moved = (
-            ideal.translate(point)
-            if point is not None and not point.is_origin()
-            else ideal
-        )
-        ld, m = local_dim_mult(moved)
+        ld, m = local_dim_mult(ideal, point)
         if ld == expected:
             total += c * m
     return total
@@ -398,7 +389,7 @@ def proper_intersect(
         expected = sum(dims) - (len(ideals) - 1) * n
         prod = product_space(ideals, ring)
         diag = Ideal(prod.ring, prod.space_gens + prod.eta)
-        d_actual = _dim_of(diag)
+        d_actual = diag.krull_dimension()
         if d_actual > max(expected, -1):
             raise ImproperIntersectionError(
                 f"components meet in dimension {d_actual}, proper is {expected}"
@@ -484,10 +475,7 @@ def circ_index(
 def _combo_setup(ideals, ring, point):
     """Translated product + reduction; returns
     (prod, reduction, space, eta, product dim, min part dim)."""
-    moved = [
-        ideal.translate(point) if point is not None and not point.is_origin() else ideal
-        for ideal in ideals
-    ]
+    moved = [ideal.translate(point) for ideal in ideals]
     dims = [ideal.krull_dimension() for ideal in moved]
     if any(d < 0 for d in dims):
         return None
@@ -555,7 +543,7 @@ def tworzewski_point_part(
     mass = 0
     fixed: list = []
     notes: list[str] = []
-    back = point.negate() if point is not None and not point.is_origin() else None
+    back = None if point is None else point.negate()
     for ideals, coeff in combos:
         setup = _combo_setup(ideals, ring, point)
         if setup is None:
@@ -565,9 +553,7 @@ def tworzewski_point_part(
         mass += coeff * pp.point
         notes.extend(pp.notes)
         for k, ideal, m in pp.fixed:
-            base_ideal = _to_base(red, ideal, prod)
-            if back is not None:
-                base_ideal = base_ideal.translate(back)
+            base_ideal = _to_base(red, ideal, prod).translate(back)
             _merge_fixed(fixed, base_ideal, n - k, coeff * m)
     return PointPartReport(mass, tuple(fixed), tuple(notes))
 

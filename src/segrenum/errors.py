@@ -1,19 +1,29 @@
 """Exception types shared across the package.
 
-Each maps to a CLI exit code; see the EXIT_* constants in cli.
+Each type carries the CLI exit code it ends a run with and the label the
+CLI prints its message under.  Only the subclasses are raised.
 """
 
 
 class SegrenumError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code: int
+    label: str
+
 
 class InputError(SegrenumError):
     """Malformed input: parse errors, arity mismatches, unknown names."""
 
+    exit_code = 2
+    label = "error"
+
 
 class GenericityError(SegrenumError):
     """A randomized choice failed its genericity certificate after retries."""
+
+    exit_code = 3
+    label = "genericity failure"
 
     def __init__(self, message, codim=None):
         super().__init__(message)
@@ -23,6 +33,12 @@ class GenericityError(SegrenumError):
 class ImproperIntersectionError(SegrenumError):
     """Cycles meet in excess dimension; the proper intersection is undefined."""
 
+    exit_code = 4
+    label = "improper intersection"
+
 
 class UnresolvedMovingSupportError(SegrenumError):
     """Moving support could not be classified as point-supported or not."""
+
+    exit_code = 5
+    label = "unresolved moving support"

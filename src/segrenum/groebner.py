@@ -10,18 +10,19 @@ which differ only in the normal form and the reducer rows they pass in.
 Buchberger's normal form keeps the rows tail-reduced as the basis grows
 (Buchberger 1985): each new element rewrites the tails of the earlier rows
 that its lead divides, so later reductions stop dragging those tails
-through big-integer rescaling.  Leads are never changed.
+through big-integer rescaling.  Leads are never changed, so each basis
+element keeps the lead it was found with.
 All reductions run fraction-free over int through the kernel backends, with
 content removed as coefficients grow.
 Reduced bases are monic and sorted by decreasing lead, so equal ideals have
 equal bases under a fixed order; the grevlex basis is the canonical one used
-for equality tests and printed reports.
+for equality tests and printed reports.  Dimension and degree both come from
+the Hilbert series of the grevlex lead ideal, computed once per ideal.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -55,16 +56,6 @@ def _zpoly(p: Polynomial) -> dict:
 
 def _from_int_terms(ring: Ring, z: dict, scale=Fraction(1)) -> Polynomial:
     return Polynomial(ring, {e: scale * c for e, c in z.items()})
-
-
-def _sign_fix(z: dict, order: MonomialOrder) -> dict:
-    """Flip signs so the leading coefficient is positive."""
-    if not z:
-        return z
-    le = max(z, key=order.key)
-    if z[le] < 0:
-        return {e: -c for e, c in z.items()}
-    return z
 
 
 def _det_key(z: dict, order: MonomialOrder):
@@ -139,8 +130,8 @@ def _complete(G: list[dict], order: MonomialOrder, nf, row) -> list:
     return rows
 
 
-def _reduced_groebner(zgens: list[dict], order: MonomialOrder) -> list[dict]:
-    """Reduced Groebner basis of primitive int term dicts, leads positive,
+def _reduced_groebner(zgens: list[dict], order: MonomialOrder) -> list[tuple]:
+    """Reduced Groebner basis as (lead exp, primitive int term dict) pairs,
     sorted by decreasing lead."""
     K = kernel.get()
     code, block = order.code, order.block
@@ -178,7 +169,8 @@ def _reduced_groebner(zgens: list[dict], order: MonomialOrder) -> list[dict]:
     for i in idx:
         if not any(K.exp_div(basis[i][0], basis[k][0]) for k in kept):
             kept.append(i)
-    # tail-reduce each kept element against the others
+    # tail-reduce each kept element against the others; no other kept lead
+    # divides its lead, so the lead stays
     out = []
     for i in kept:
         others = [basis[k] for k in kept if k != i]
@@ -186,8 +178,8 @@ def _reduced_groebner(zgens: list[dict], order: MonomialOrder) -> list[dict]:
             r, _, _ = K.reduce_full(basis[i][2], others, code, block)
         else:
             r = basis[i][2]
-        out.append(_sign_fix(K.make_primitive(dict(r)), order))
-    out.sort(key=lambda z: order.key(K.lead_exp(z, code, block)), reverse=True)
+        out.append((basis[i][0], K.make_primitive(dict(r))))
+    out.sort(key=lambda lz: order.key(lz[0]), reverse=True)
     return out
 
 
@@ -271,13 +263,10 @@ class Ideal:
             if order.block > self.ring.arity:
                 n = self.ring.arity
                 raise InputError(f"{order} eliminates {order.block} of {n} variables")
-            zs = [_zpoly(g) for g in self.gens]
-            gb = _reduced_groebner(zs, order)
-            polys = []
-            for z in gb:
-                le = max(z, key=order.key)
-                polys.append(_from_int_terms(self.ring, z, Fraction(1, z[le])))
-            self._gb[order] = tuple(polys)
+            gb = _reduced_groebner([_zpoly(g) for g in self.gens], order)
+            self._gb[order] = tuple(
+                _from_int_terms(self.ring, z, Fraction(1, z[le])) for le, z in gb
+            )
         return self._gb[order]
 
     def leading_exponents(self, order: MonomialOrder = GREVLEX) -> tuple:
@@ -295,7 +284,12 @@ class Ideal:
         gb = self.groebner(GREVLEX)
         return len(gb) == 1 and gb[0].is_constant()
 
+    def _check_ring(self, p: Polynomial):
+        if p.ring != self.ring:
+            raise InputError("polynomial from a different ring")
+
     def contains(self, p: Polynomial) -> bool:
+        self._check_ring(p)
         if p.is_zero():
             return True
         return normal_form(p, self.groebner(GREVLEX), GREVLEX).is_zero()
@@ -304,10 +298,12 @@ class Ideal:
         return all(self.contains(g) for g in other.gens)
 
     def normal_form(self, p: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
+        self._check_ring(p)
         return normal_form(p, self.groebner(order), order)
 
     def radical_contains(self, p: Polynomial) -> bool:
         """Membership in the radical: p lies in rad(I) iff I : p^inf = (1)."""
+        self._check_ring(p)
         if p.is_zero():
             return True
         return self.saturate_poly(p).is_unit()
@@ -331,8 +327,15 @@ class Ideal:
             return Ideal(self.ring, self.gens + other.gens)
         return Ideal(self.ring, self.gens + tuple(other))
 
-    def translate(self, point: AffinePoint) -> "Ideal":
-        """Generators composed with z -> z + x, moving x to the origin."""
+    def translate(self, point: AffinePoint | None) -> "Ideal":
+        """Generators composed with z -> z + x, moving x to the origin.
+
+        No point, or the origin, gives this ideal itself, cached bases and all.
+        """
+        if point is not None and point.ring != self.ring:
+            raise InputError("point from a different ring")
+        if point is None or point.is_origin():
+            return self
         return Ideal(self.ring, tuple(g.translate(point) for g in self.gens))
 
     def intersect(self, other: "Ideal") -> "Ideal":
@@ -359,8 +362,7 @@ class Ideal:
 
     def saturate_poly(self, g: Polynomial) -> "Ideal":
         """I : g^inf = (I + (1 - t*g)) cap k[x]: one elimination of a fresh t."""
-        if g.ring != self.ring:
-            raise InputError("polynomial from a different ring")
+        self._check_ring(g)
         if g.is_zero():
             raise InputError("saturation by the zero polynomial")
         ext = _front_ring(self.ring)
@@ -418,33 +420,15 @@ class Ideal:
     # -- numeric invariants ------------------------------------------------------
 
     def krull_dimension(self) -> int:
-        """Dimension of V(I): max independent variable set of the lead ideal.
+        """Dimension of V(I), read off the cached Hilbert data.
 
         Unit ideal gives -1; the zero ideal gives the ambient dimension.
         """
-        leads = self.leading_exponents(GREVLEX)
-        n = self.ring.arity
-        masks = set()
-        for le in leads:
-            m = 0
-            for i, e in enumerate(le):
-                if e:
-                    m |= 1 << i
-            if m == 0:
-                return -1
-            masks.add(m)
-        for k in range(n, -1, -1):
-            for combo in itertools.combinations(range(n), k):
-                u = 0
-                for i in combo:
-                    u |= 1 << i
-                if all(m & ~u for m in masks):
-                    return k
-        return -1
+        return self.hilbert_data().dimension
 
     def hilbert_data(self) -> "HilbertData":
-        """Hilbert data of the grevlex lead-term ideal (== that of I when
-        I is homogeneous)."""
+        """Hilbert data of the grevlex lead-term ideal.  Its dimension is that
+        of I; the rest is that of I when I is homogeneous."""
         if self._hilbert is None:
             self._hilbert = hilbert_of_leads(
                 self.leading_exponents(GREVLEX), self.ring.arity

@@ -110,7 +110,7 @@ def local_dim_mult(ideal: Ideal, point: AffinePoint | None = None) -> tuple[int,
 
     Points off the variety give (-1, 0).  The zero ideal gives (arity, 1).
     """
-    at = ideal.translate(point) if point is not None and not point.is_origin() else ideal
+    at = ideal.translate(point)
     if any(g.constant_term() != 0 for g in at.gens):
         return (-1, 0)
     cone = tangent_cone(at)
@@ -125,7 +125,7 @@ def colength(ideal: Ideal, point: AffinePoint | None = None) -> int:
     the tangent cone; the count itself is the global staircase count, i.e. it
     sums the contributions of every point of V(I).
     """
-    at = ideal.translate(point) if point is not None and not point.is_origin() else ideal
+    at = ideal.translate(point)
     hd = at.hilbert_data()
     if hd.dimension != 0:
         raise InputError(

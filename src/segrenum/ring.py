@@ -6,7 +6,7 @@ printing or running division-type algorithms.  The text format accepted by
 ``Ring.parse`` (and produced by ``Polynomial.__str__``) is the one exchange
 format used everywhere: identifiers for variables, ``+ - * ^``, integer and
 ``a/b`` rational literals.  Multiplication is always explicit (``2*x``, not
-``2x``).
+``2x``); exponents are integer literals up to ``MAX_EXPONENT``.
 """
 
 from __future__ import annotations
@@ -17,6 +17,11 @@ from typing import Iterable, Mapping
 
 from .errors import InputError
 from .orders import GREVLEX
+
+# Largest exponent literal the parser accepts.  Hilbert data allocate one
+# coefficient per degree, so an exponent like 10^9 would ask for gigabytes;
+# the shipped inputs stay below 100.
+MAX_EXPONENT = 10_000
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(
@@ -308,11 +313,12 @@ class Polynomial:
             out = out + term
         return out
 
-    def translate(self, point: AffinePoint) -> "Polynomial":
-        """p(z + x): move the point x to the origin."""
-        if point.ring != self.ring:
+    def translate(self, point: AffinePoint | None) -> "Polynomial":
+        """p(z + x): move the point x to the origin; no point, or the
+        origin, gives p itself."""
+        if point is not None and point.ring != self.ring:
             raise InputError("point from a different ring")
-        if point.is_origin():
+        if point is None or point.is_origin():
             return self
         bindings = {
             i: self.ring.var(i) + self.ring.constant(c)
@@ -436,7 +442,10 @@ class _Parser:
             kind, val = self.take()
             if kind != "int":
                 raise InputError("exponent must be a nonnegative integer")
-            p = p ** int(val)
+            k = val.lstrip("0") or "0"
+            if len(k) > len(str(MAX_EXPONENT)) or int(k) > MAX_EXPONENT:
+                raise InputError(f"exponent {k} exceeds the limit {MAX_EXPONENT}")
+            p = p ** int(k)
         return p
 
     def atom(self) -> Polynomial:

@@ -58,7 +58,6 @@ class VogelRun:
     def __init__(self, sequence: VogelSequence, steps: list[VogelStep]):
         self.sequence = sequence
         self.steps = steps
-        self._inside: dict[int, Ideal] = {}
 
     @property
     def mult_z(self) -> tuple[int, ...]:
@@ -70,16 +69,12 @@ class VogelRun:
 
     def inside(self, k: int) -> Ideal:
         """The Z-part ideal I_k : (I_k^off)^inf of step k."""
-        if k not in self._inside:
-            step = self.steps[k]
-            if step.off.is_zero():
-                out = Ideal(step.ideal.ring, (step.ideal.ring.one(),))
-            elif step.off.is_unit():
-                out = step.ideal
-            else:
-                out = step.ideal.saturate(step.off)
-            self._inside[k] = out
-        return self._inside[k]
+        step = self.steps[k]
+        if step.off.is_zero():
+            return Ideal(step.ideal.ring, (step.ideal.ring.one(),))
+        if step.off.is_unit():
+            return step.ideal
+        return step.ideal.saturate(step.off)
 
 
 def _combos(f: list[Polynomial], alpha_row, ring) -> Polynomial:
@@ -187,8 +182,6 @@ def _translated(f, X: Ideal, point: AffinePoint | None):
     for p in f:
         if p.ring != X.ring:
             raise InputError("generators from a different ring")
-    if point is None or point.is_origin():
-        return f, X
     return [p.translate(point) for p in f], X.translate(point)
 
 
@@ -282,7 +275,7 @@ def fixed_support(f, X, point=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, bo
     if trials < 2:
         raise InputError("fixed/moving classification needs at least 2 trials")
     runs = run_trials(f, X, point, trials, seed, bound)
-    back = point.negate() if point is not None and not point.is_origin() else None
+    back = None if point is None else point.negate()
     n = len(runs[0].steps) - 1
     entries = []
     for k in range(n + 1):
@@ -296,9 +289,7 @@ def fixed_support(f, X, point=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, bo
             continue
         d = merged.krull_dimension()
         status = "fixed" if d == expected else "moving"
-        if back is not None:
-            merged = merged.translate(back)
-        entries.append(FixedCodim(k, expected, status, merged, d))
+        entries.append(FixedCodim(k, expected, status, merged.translate(back), d))
     return FixedReport(tuple(entries), runs)
 
 
@@ -369,7 +360,6 @@ def point_part(f, X, point=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, bound
             raise UnresolvedMovingSupportError(
                 f"codim {k}: fixed support has dimension {ld}, expected {expected} or 0"
             )
-    if point is not None and not point.is_origin():
-        back = point.negate()
-        fixed = [(k, ideal.translate(back), m) for k, ideal, m in fixed]
+    back = None if point is None else point.negate()
+    fixed = [(k, ideal.translate(back), m) for k, ideal, m in fixed]
     return PointPart(mass, e, tuple(fixed), tuple(notes))

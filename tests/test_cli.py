@@ -151,6 +151,13 @@ def test_zero_denominator_is_input_error(tmp_path, capsys):
     assert "division by zero" in capsys.readouterr().err
 
 
+def test_huge_exponent_is_input_error(tmp_path, capsys):
+    f = tmp_path / "huge.prob"
+    f.write_text("ring x y\nideal A: x^1000000000 - y\n")
+    assert main(["dim", "--ideal", "A", str(f)]) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("order, code", [("elim:9", 2), ("elim:3", 0)])
 def test_elimination_block_wider_than_ring(order, code, capsys):
     assert main(["gb", "--ideal", "T", "--order", order, TWISTED]) == code

@@ -5,12 +5,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_acceptance import budget
 
 from segrenum import (
     GREVLEX,
     LEX,
+    AffinePoint,
     HilbertData,
     Ideal,
     InputError,
@@ -99,6 +101,29 @@ def test_argument_from_another_ring_is_input_error(method):
     arg = Ideal(S, ["u"]) if method == "saturate" else S.parse("u*v")
     with pytest.raises(InputError):
         getattr(Ideal(R2, ["x*y"]), method)(arg)
+
+
+_S2 = Ring(["u", "v"])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Ideal(R2, ["x*y"]).contains(_S2.zero()),
+        lambda: Ideal(R2, ["x*y"]).radical_contains(_S2.zero()),
+        lambda: Ideal(R2, []).normal_form(_S2.parse("u*v")),
+        lambda: Ideal(R2, ["x*y"]).translate(AffinePoint(_S2, (0, 0))),
+        lambda: Ideal(R2, []).translate(AffinePoint(_S2, (0, 0))),
+        lambda: R2.parse("x").translate(AffinePoint(_S2, (0, 0))),
+    ],
+    ids=[
+        "contains-zero", "radical-zero", "nf-zero-ideal",
+        "translate", "translate-zero-ideal", "poly-translate",
+    ],
+)  # fmt: skip
+def test_foreign_ring_checked_before_shortcuts(call):
+    with pytest.raises(InputError):
+        call()
 
 
 # -- pinned work counts ------------------------------------------------------------
@@ -245,6 +270,23 @@ def test_krull_dimension_samples():
     assert Ideal(R2, ["x^2 - 1"]).krull_dimension() == 1
 
 
+def test_krull_dimension_of_many_variables_is_fast():
+    # a search over variable subsets would visit all 2^24 of them
+    ring = Ring([f"x{i}" for i in range(24)])
+    ideal = Ideal(ring, [f"x{i}^2 - x{(i + 1) % 24}" for i in range(24)])
+    with budget(2):
+        assert ideal.krull_dimension() == 0
+
+
+def test_translate_to_origin_keeps_the_ideal():
+    I = Ideal(R2, ["x^2 - y"])
+    gb = I.groebner()
+    for point in (None, AffinePoint(R2, (0, 0))):
+        assert I.translate(point) is I
+        assert I.translate(point)._gb[GREVLEX] is gb
+        assert R2.parse("x").translate(point) == R2.parse("x")
+
+
 def test_hilbert_data_samples():
     hd = Ideal(R2, ["x^2", "x*y"]).hilbert_data()
     assert (hd.dimension, hd.degree) == (1, 1)
@@ -292,6 +334,36 @@ def test_block_wider_than_ring_is_input_error():
 _coeff = st.integers(-9, 9).filter(lambda n: n != 0).map(Fraction)
 _exp2 = st.tuples(st.integers(0, 3), st.integers(0, 3))
 _poly2 = st.dictionaries(_exp2, _coeff, min_size=1, max_size=3).map(R2.from_terms)
+
+
+def _independent_set_dimension(ideal):
+    """Size of the largest variable set that contains the support of no
+    grevlex lead monomial; -1 when a lead is constant."""
+    n = ideal.ring.arity
+    supports = [{i for i, e in enumerate(le) if e} for le in ideal.leading_exponents()]
+    if any(not s for s in supports):
+        return -1
+    for k in range(n, -1, -1):
+        for free in itertools.combinations(range(n), k):
+            if not any(s <= set(free) for s in supports):
+                return k
+
+
+@st.composite
+def _ideals(draw):
+    ring = Ring(["x", "y", "z", "w"][: draw(st.integers(2, 4))])
+    exps = st.tuples(*[st.integers(0, 2)] * ring.arity)
+    polys = st.dictionaries(exps, _coeff, min_size=1, max_size=3).map(ring.from_terms)
+    return Ideal(ring, draw(st.lists(polys, max_size=4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ideals())
+@example(Ideal(R3, []))
+@example(Ideal(R3, ["-2"]))
+@example(Ideal(Ring(["x", "y", "z", "w"]), ["x*y", "z*w", "x*z^2"]))
+def test_krull_dimension_matches_independent_sets(ideal):
+    assert ideal.krull_dimension() == _independent_set_dimension(ideal)
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segrenum import AffinePoint, InputError, Polynomial, Ring
+from segrenum.ring import MAX_EXPONENT
 
 R2 = Ring(["x", "y"])
 R3 = Ring(["x", "y", "z"])
@@ -73,6 +74,21 @@ def test_parse_rejects_juxtaposition_and_garbage():
     for bad in ("x y", "2x", "x**2", "x^-1", "x +", "(x", "x)", "", "x..y", "x/y"):
         with pytest.raises(InputError):
             R2.parse(bad)
+
+
+@pytest.mark.parametrize("text", ["x^1000000000", "(x + y)^100000", "x^" + "9" * 5000])
+def test_parse_rejects_huge_exponents_before_the_power(text, monkeypatch):
+    def no_power(self, k):
+        raise AssertionError("the power was computed")
+
+    monkeypatch.setattr(Polynomial, "__pow__", no_power)
+    with pytest.raises(InputError, match="exceeds the limit"):
+        R2.parse(text)
+
+
+def test_parse_accepts_exponents_up_to_the_limit():
+    assert R2.parse("x^007") == R2.parse("x^7")
+    assert R2.parse(f"x^{MAX_EXPONENT}").total_degree() == MAX_EXPONENT
 
 
 def test_parse_unknown_variable():
