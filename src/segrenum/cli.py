@@ -46,7 +46,7 @@ from .vogel import (
 )
 
 EXIT_CHECK_FAILED = 1
-EXIT_INTERNAL = 6
+EXIT_INTERNAL = SegrenumError.exit_code
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -1,15 +1,17 @@
 """Exception types shared across the package.
 
 Each type carries the CLI exit code it ends a run with and the label the
-CLI prints its message under.  Only the subclasses are raised.
+CLI prints its message under.  Only the subclasses are raised; the base
+class carries the internal-error code, so an error no subclass describes
+ends a run as a bug does.
 """
 
 
 class SegrenumError(Exception):
     """Base class for all errors raised by this package."""
 
-    exit_code: int
-    label: str
+    exit_code = 6
+    label = "internal error"
 
 
 class InputError(SegrenumError):

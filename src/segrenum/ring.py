@@ -6,7 +6,8 @@ printing or running division-type algorithms.  The text format accepted by
 ``Ring.parse`` (and produced by ``Polynomial.__str__``) is the one exchange
 format used everywhere: identifiers for variables, ``+ - * ^``, integer and
 ``a/b`` rational literals.  Multiplication is always explicit (``2*x``, not
-``2x``); exponents are integer literals up to ``MAX_EXPONENT``.
+``2x``); exponents are integer literals, and neither an exponent nor the
+total degree of a power or product may exceed ``MAX_DEGREE``.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from typing import Iterable, Mapping
 from .errors import InputError
 from .orders import GREVLEX
 
-# Largest exponent literal the parser accepts.  Hilbert data allocate one
-# coefficient per degree, so an exponent like 10^9 would ask for gigabytes;
-# the shipped inputs stay below 100.
-MAX_EXPONENT = 10_000
+# Largest exponent literal, and largest total degree of a power or product,
+# the parser accepts.  Hilbert data allocate one coefficient per degree, so a
+# degree like 10^9 would ask for gigabytes; the shipped inputs stay below 100.
+MAX_DEGREE = 10_000
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(
@@ -378,6 +379,12 @@ def _tokenize(text: str):
     return tokens
 
 
+def _check_degree(degree: int) -> None:
+    """Rejects a power or product before it is expanded to a degree above the cap."""
+    if degree > MAX_DEGREE:
+        raise InputError(f"degree {degree} exceeds the limit {MAX_DEGREE}")
+
+
 class _Parser:
     """Recursive descent over: expr := term (+|- term)*, term := factor (* factor)*,
     factor := atom (^ INT)?, atom := NAME | NUMBER | ( expr ) | - atom."""
@@ -432,7 +439,9 @@ class _Parser:
         p = self.factor()
         while self.peek() == ("op", "*"):
             self.take()
-            p = p * self.factor()
+            q = self.factor()
+            _check_degree(p.total_degree() + q.total_degree())
+            p = p * q
         return p
 
     def factor(self) -> Polynomial:
@@ -443,8 +452,9 @@ class _Parser:
             if kind != "int":
                 raise InputError("exponent must be a nonnegative integer")
             k = val.lstrip("0") or "0"
-            if len(k) > len(str(MAX_EXPONENT)) or int(k) > MAX_EXPONENT:
-                raise InputError(f"exponent {k} exceeds the limit {MAX_EXPONENT}")
+            if len(k) > len(str(MAX_DEGREE)) or int(k) > MAX_DEGREE:
+                raise InputError(f"exponent {k} exceeds the limit {MAX_DEGREE}")
+            _check_degree(p.total_degree() * int(k))
             p = p ** int(k)
         return p
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from segrenum import GenericityError, UnresolvedMovingSupportError
+from segrenum import GenericityError, SegrenumError, UnresolvedMovingSupportError
 from segrenum.cli import COMMANDS, corpus_files, corpus_path, main, render, run
 
 CUSP = corpus_path("cusp.prob")
@@ -151,9 +151,10 @@ def test_zero_denominator_is_input_error(tmp_path, capsys):
     assert "division by zero" in capsys.readouterr().err
 
 
-def test_huge_exponent_is_input_error(tmp_path, capsys):
+@pytest.mark.parametrize("gen", ["x^1000000000 - y", "(x^10000)^10000 - y", "x^10000*x - y"])
+def test_huge_degree_is_input_error(gen, tmp_path, capsys):
     f = tmp_path / "huge.prob"
-    f.write_text("ring x y\nideal A: x^1000000000 - y\n")
+    f.write_text(f"ring x y\nideal A: {gen}\n")
     assert main(["dim", "--ideal", "A", str(f)]) == 2
     assert "exceeds the limit" in capsys.readouterr().err
 
@@ -186,6 +187,19 @@ def test_mapped_error_exits(monkeypatch, capsys):
     assert main(["dim", "--ideal", "C23", CUSP]) == 6
     err = capsys.readouterr().err
     assert "Traceback" in err and "internal error: RuntimeError: kernel bug" in err
+
+
+def test_every_error_type_has_an_exit_code_and_label(monkeypatch, capsys):
+    types = [SegrenumError, *SegrenumError.__subclasses__()]
+    assert sorted(t.exit_code for t in types) == [2, 3, 4, 5, 6]
+    assert all(isinstance(t.label, str) and t.label for t in types)
+
+    def boom_bare(problem, args):
+        raise SegrenumError("no subtype")
+
+    monkeypatch.setitem(COMMANDS, "dim", boom_bare)
+    assert main(["dim", "--ideal", "C23", CUSP]) == 6
+    assert "internal error: no subtype" in capsys.readouterr().err
 
 
 # -- corpus ------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segrenum import AffinePoint, InputError, Polynomial, Ring
-from segrenum.ring import MAX_EXPONENT
+from segrenum.ring import MAX_DEGREE
 
 R2 = Ring(["x", "y"])
 R3 = Ring(["x", "y", "z"])
@@ -76,19 +76,42 @@ def test_parse_rejects_juxtaposition_and_garbage():
             R2.parse(bad)
 
 
-@pytest.mark.parametrize("text", ["x^1000000000", "(x + y)^100000", "x^" + "9" * 5000])
-def test_parse_rejects_huge_exponents_before_the_power(text, monkeypatch):
-    def no_power(self, k):
-        raise AssertionError("the power was computed")
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x^1000000000",
+        "(x + y)^100000",
+        "x^" + "9" * 5000,
+        "(x^10000)^10000 - y",
+        "((x^10000)^10000)^10000",
+        "(x*y)^5001",
+        "x^10000*y",
+        "x^5000*y^5000*x",
+    ],
+)
+def test_parse_rejects_huge_degrees_before_the_power(text, monkeypatch):
+    pow_, mul = Polynomial.__pow__, Polynomial.__mul__
 
-    monkeypatch.setattr(Polynomial, "__pow__", no_power)
+    def capped_pow(self, k):
+        assert k <= MAX_DEGREE and self.total_degree() * k <= MAX_DEGREE, "expanded"
+        return pow_(self, k)
+
+    def capped_mul(self, other):
+        assert self.total_degree() + other.total_degree() <= MAX_DEGREE, "expanded"
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__pow__", capped_pow)
+    monkeypatch.setattr(Polynomial, "__mul__", capped_mul)
     with pytest.raises(InputError, match="exceeds the limit"):
         R2.parse(text)
 
 
-def test_parse_accepts_exponents_up_to_the_limit():
+def test_parse_accepts_degrees_up_to_the_limit():
     assert R2.parse("x^007") == R2.parse("x^7")
-    assert R2.parse(f"x^{MAX_EXPONENT}").total_degree() == MAX_EXPONENT
+    assert R2.parse(f"x^{MAX_DEGREE}").total_degree() == MAX_DEGREE
+    assert R2.parse("(x^100)^100 - y").total_degree() == MAX_DEGREE
+    assert R2.parse("x^5000*y^5000 + (x - x)^10000").total_degree() == MAX_DEGREE
+    assert R2.parse("2^10000").total_degree() == 0
 
 
 def test_parse_unknown_variable():
