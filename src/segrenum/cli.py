@@ -26,6 +26,7 @@ from importlib import resources
 from .cycles import (
     circ_index,
     divisor_cut,
+    implicitize,
     proper_intersect,
     restricted_point_part,
     tworzewski_index,
@@ -255,8 +256,6 @@ def _cmd_point_part(problem, args):
 
 
 def _cmd_implicitize(problem, args):
-    from .cycles import implicitize
-
     mdef = problem.map_def(args.map)
     ideal = implicitize(mdef.components, mdef.param_ring, problem.ring)
     return _ideal_doc(ideal)

@@ -3,9 +3,11 @@
 A cycle is a formal integer combination of ideals (its parts); products of
 cycles are computed on the product space in (w, eta) coordinates, where block
 one keeps the original variable names and block j maps v -> w_v + eta_j_v, so
-the diagonal ideal is spanned by the eta variables.  Linear substitution
-reduction keeps the working variable count small, and every reduction step is
-recorded so component ideals can be mapped back to the original coordinates.
+the diagonal ideal is spanned by the eta variables.  Each product of parts is
+built and linearly reduced once, with the diagonal forms carried along; the
+shears of the diagonal cuts act on those reduced forms, since substitution is
+linear.  Every reduction step is recorded so component ideals can be mapped
+back to the original coordinates.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -115,7 +117,7 @@ class Reduction:
 
     ring: Ring
     gens: list[Polynomial]
-    aux: list[list[Polynomial]]
+    aux: list[Polynomial]
     trail: list[tuple[str, Polynomial]]  # (eliminated name, replacement)
 
 
@@ -124,12 +126,12 @@ def linear_reduce(ring, gens, aux=(), allowed=None, max_degree=1) -> Reduction:
 
     ``allowed`` restricts which variable indices (of the original ring) may be
     eliminated; ``max_degree`` caps the degree of the replacement expression.
-    The trail records (name, replacement) pairs in elimination order, each
+    The ``aux`` polynomials are carried along: substituted, never read.  The trail records (name, replacement) pairs in elimination order, each
     replacement written in the ring current at that step.
     """
     cur_ring = ring
     cur_gens = [g for g in gens if not g.is_zero()]
-    cur_aux = [list(block) for block in aux]
+    cur_aux = list(aux)
     allowed_names = (
         None if allowed is None else {ring.names[i] for i in allowed}
     )
@@ -162,68 +164,63 @@ def linear_reduce(ring, gens, aux=(), allowed=None, max_degree=1) -> Reduction:
             for j, p in enumerate(cur_gens)
             if j != gi and not (q := p.substitute(bind, new_ring)).is_zero()
         ]
-        cur_aux = [
-            [p.substitute(bind, new_ring) for p in block] for block in cur_aux
-        ]
+        cur_aux = [p.substitute(bind, new_ring) for p in cur_aux]
         cur_ring = new_ring
-
-
-def lift_to_ring(reduction: Reduction, ideal_gens, full_ring: Ring) -> list[Polynomial]:
-    """Express an ideal of the reduced ring in the full ring, restoring the
-    eliminated-variable relations from the trail."""
-    gens = [g.substitute({}, full_ring) for g in ideal_gens]
-    for name, repl in reduction.trail:
-        v = full_ring.var(full_ring._index[name])
-        gens.append(v - repl.substitute({}, full_ring))
-    return gens
 
 
 # -- products -----------------------------------------------------------------
 
 
-@dataclass
-class ProductSpace:
-    """Product of translated parts in (w, eta) coordinates."""
+@dataclass(frozen=True)
+class _Product:
+    """Product of the translated parts in (w, eta) coordinates, reduced once."""
 
-    ring: Ring  # w block (original names) then eta blocks
-    base: Ring
-    factors: int
-    space_gens: list[Polynomial]
-    eta: list[Polynomial]  # the (r-1)*n diagonal generators
+    trail: list[tuple[str, Polynomial]]  # from the (w, eta) ring to the reduced one
+    space: Ideal  # the product on the reduced ring
+    eta: list[Polynomial]  # the (r-1)*n diagonal forms on the reduced ring
+    dim: int  # sum of the part dimensions
+    min_dim: int
 
 
-def product_space(ideals, base: Ring) -> ProductSpace:
-    r = len(ideals)
+def _product(ideals, base: Ring, point: AffinePoint | None = None) -> _Product | None:
+    """The product of the parts moved to the point; None when a part is empty."""
+    moved = [ideal.translate(point) for ideal in ideals]
+    dims = [ideal.krull_dimension() for ideal in moved]
+    if any(d < 0 for d in dims):
+        return None
     n = base.arity
     names = list(base.names)
-    for j in range(2, r + 1):
+    for j in range(2, len(moved) + 1):
         names += [f"{nm}__d{j}" for nm in base.names]
-    prod = Ring(names)
-    gens: list[Polynomial] = []
-    for g in ideals[0].gens:
-        gens.append(g.substitute({}, prod))
-    for j in range(2, r + 1):
-        off = n * (j - 1)
-        bind = {i: prod.var(i) + prod.var(off + i) for i in range(n)}
-        for g in ideals[j - 1].gens:
-            gens.append(g.substitute(bind, prod))
-    eta = [prod.var(n + q) for q in range(n * (r - 1))]
-    return ProductSpace(prod, base, r, gens, eta)
+    full = Ring(names)
+    gens = [g.substitute({}, full) for g in moved[0].gens]
+    for j, ideal in enumerate(moved[1:], start=1):
+        bind = {i: full.var(i) + full.var(n * j + i) for i in range(n)}
+        gens += [g.substitute(bind, full) for g in ideal.gens]
+    eta = [full.var(q) for q in range(n, full.arity)]
+    red = linear_reduce(full, gens, aux=eta)
+    space = Ideal(red.ring, red.gens)
+    if space.krull_dimension() != sum(dims):
+        raise InputError(
+            "product of parts is not pure-dimensional of the expected dimension"
+        )
+    return _Product(red.trail, space, red.aux, sum(dims), min(dims))
 
 
-def _to_base(reduction: Reduction, ideal: Ideal, prod: ProductSpace) -> Ideal:
-    """Map an ideal living on the reduced product ring back to the base ring,
-    restricting to the diagonal (all eta set to zero)."""
-    full = lift_to_ring(reduction, ideal.groebner(), prod.ring)
-    n = prod.base.arity
-    bind = {}
-    for i in range(prod.ring.arity):
-        if i < n:
-            bind[i] = prod.base.var(i)
-        else:
-            bind[i] = prod.base.zero()
-    gens = [g.substitute(bind, prod.base) for g in full]
-    return Ideal(prod.base, [g for g in gens if not g.is_zero()])
+def _to_base(trail, ideal: Ideal, base: Ring) -> Ideal:
+    """Map an ideal on a reduced product ring back to the base ring: restore
+    the eliminated variables from the trail, then restrict to the diagonal,
+    where every eta variable (every name outside the base ring) is zero."""
+
+    def down(p: Polynomial) -> Polynomial:
+        eta = {i: base.zero() for i, nm in enumerate(p.ring.names) if nm not in base._index}
+        return p.substitute(eta, base)
+
+    gens = [down(g) for g in ideal.groebner()]
+    for name, repl in trail:
+        v = base.var(base._index[name]) if name in base._index else base.zero()
+        gens.append(v - down(repl))
+    return Ideal(base, [g for g in gens if not g.is_zero()])
 
 
 def _det(mat) -> int:
@@ -275,60 +272,38 @@ def _apply_shear(mat, eta):
     return out
 
 
-def _cut_combo(prod: ProductSpace, dims_sum: int, seed: int):
+def _cut_combo(prod: _Product, seed: int):
     """Iterated diagonal cuts on one product; returns the final Ideal on the
-    reduced ring together with its Reduction, or None when the intersection
+    reduced ring together with the whole trail, or None when the intersection
     is empty."""
     # integer-derived stream, decoupled from the Vogel draws for the same seed
     rng = random.Random(seed * 0x9E3779B97F4A7C15 + 0x5EA8)
     failures = []
     for mat in _shears(len(prod.eta), rng, SHEAR_RETRIES):
-        red = linear_reduce(
-            prod.ring, prod.space_gens, aux=[_apply_shear(mat, prod.eta)]
-        )
-        cur = Ideal(red.ring, red.gens)
-        forms = list(red.aux[0])
-        cur_dim = dims_sum
-        ok = True
-        empty = False
-        for idx in range(len(forms)):
-            form = forms[idx]
+        cur, trail, dim = prod.space, prod.trail, prod.dim
+        forms = _apply_shear(mat, prod.eta)
+        while forms:
+            form, *forms = forms
             if form.is_zero():
                 # the cut already follows from earlier substitutions
-                if cur.krull_dimension() == cur_dim - 1:
-                    cur_dim -= 1
-                    continue
-                ok = False
-                failures.append("degenerate form")
-                break
-            off = cur.saturate_poly(form)
-            if off != cur:
-                ok = False
-                failures.append("component inside the divisor")
-                break
-            nxt = cur + (form,)
-            sub = linear_reduce(
-                nxt.ring, list(nxt.gens), aux=[forms[idx + 1 :]]
-            )
-            red = Reduction(
-                sub.ring, sub.gens, sub.aux, red.trail + sub.trail
-            )
-            cur = Ideal(sub.ring, sub.gens)
-            forms = [None] * (idx + 1) + sub.aux[0]
-            d = cur.krull_dimension()
-            if d == -1:
-                empty = True
-                break
-            if d != cur_dim - 1:
-                ok = False
-                failures.append(f"cut dropped dimension to {d}")
-                break
-            cur_dim -= 1
-        if not ok:
-            continue
-        if empty:
-            return None
-        return cur, red
+                if cur.krull_dimension() != dim - 1:
+                    failures.append("degenerate form")
+                    break
+            else:
+                if cur.saturate_poly(form) != cur:
+                    failures.append("component inside the divisor")
+                    break
+                sub = linear_reduce(cur.ring, [*cur.gens, form], aux=forms)
+                cur, trail, forms = Ideal(sub.ring, sub.gens), trail + sub.trail, sub.aux
+                d = cur.krull_dimension()
+                if d == -1:
+                    return None
+                if d != dim - 1:
+                    failures.append(f"cut dropped dimension to {d}")
+                    break
+            dim -= 1
+        else:
+            return cur, trail
     raise GenericityError(
         f"no shear passed the cut checks: {failures[-SHEAR_RETRIES:]}"
     )
@@ -383,24 +358,23 @@ def proper_intersect(
     n = ring.arity
     out_parts = []
     for ideals, coeff in combos:
-        dims = [ideal.krull_dimension() for ideal in ideals]
-        if any(d < 0 for d in dims):
+        prod = _product(ideals, ring)
+        if prod is None:
             continue
-        expected = sum(dims) - (len(ideals) - 1) * n
-        prod = product_space(ideals, ring)
-        diag = Ideal(prod.ring, prod.space_gens + prod.eta)
-        d_actual = diag.krull_dimension()
+        expected = prod.dim - (len(ideals) - 1) * n
+        # the substitutions are isomorphisms, so the reduced ring gives the dimension
+        d_actual = (prod.space + prod.eta).krull_dimension()
         if d_actual > max(expected, -1):
             raise ImproperIntersectionError(
                 f"components meet in dimension {d_actual}, proper is {expected}"
             )
         if d_actual == -1:
             continue
-        hit = _cut_combo(prod, sum(dims), seed)
+        hit = _cut_combo(prod, seed)
         if hit is None:
             continue
-        final, red = hit
-        back = _to_base(red, final, prod)
+        final, trail = hit
+        back = _to_base(trail, final, ring)
         if back.is_unit():
             continue
         out_parts.append((back, coeff))
@@ -472,24 +446,6 @@ def circ_index(
     return _index_from(by_dim, top, stable)
 
 
-def _combo_setup(ideals, ring, point):
-    """Translated product + reduction; returns
-    (prod, reduction, space, eta, product dim, min part dim)."""
-    moved = [ideal.translate(point) for ideal in ideals]
-    dims = [ideal.krull_dimension() for ideal in moved]
-    if any(d < 0 for d in dims):
-        return None
-    prod = product_space(moved, ring)
-    red = linear_reduce(prod.ring, prod.space_gens, aux=[prod.eta])
-    space = Ideal(red.ring, red.gens)
-    n = sum(dims)
-    if space.krull_dimension() != n:
-        raise InputError(
-            "product of parts is not pure-dimensional of the expected dimension"
-        )
-    return prod, red, space, red.aux[0], n, min(dims)
-
-
 def tworzewski_index(
     cycles,
     point: AffinePoint | None = None,
@@ -504,14 +460,13 @@ def tworzewski_index(
     top = -1
     stable = True
     for ideals, coeff in combos:
-        setup = _combo_setup(ideals, ring, point)
-        if setup is None:
+        prod = _product(ideals, ring, point)
+        if prod is None:
             continue
-        _, _, space, eta, n, cap = setup
-        top = max(top, cap)
-        res = segre_at(eta, space, None, trials, seed, bound)
+        top = max(top, prod.min_dim)
+        res = segre_at(prod.eta, prod.space, None, trials, seed, bound)
         stable = stable and res.stable
-        _accumulate(by_dim, n, coeff, res.values)
+        _accumulate(by_dim, prod.dim, coeff, res.values)
     return _index_from(by_dim, top, stable)
 
 
@@ -545,16 +500,15 @@ def tworzewski_point_part(
     notes: list[str] = []
     back = None if point is None else point.negate()
     for ideals, coeff in combos:
-        setup = _combo_setup(ideals, ring, point)
-        if setup is None:
+        prod = _product(ideals, ring, point)
+        if prod is None:
             continue
-        prod, red, space, eta, n, _ = setup
-        pp = point_part(eta, space, None, trials, seed, bound)
+        pp = point_part(prod.eta, prod.space, None, trials, seed, bound)
         mass += coeff * pp.point
         notes.extend(pp.notes)
         for k, ideal, m in pp.fixed:
-            base_ideal = _to_base(red, ideal, prod).translate(back)
-            _merge_fixed(fixed, base_ideal, n - k, coeff * m)
+            base_ideal = _to_base(prod.trail, ideal, ring).translate(back)
+            _merge_fixed(fixed, base_ideal, prod.dim - k, coeff * m)
     return PointPartReport(mass, tuple(fixed), tuple(notes))
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from . import kernel
 from .errors import InputError
 from .groebner import Ideal, _complete, _det_key, _from_int_terms, _front_ring, _zpoly
-from .orders import GREVLEX, LOCAL, block_order
-from .ring import AffinePoint, Polynomial
+from .orders import LOCAL, block_order
+from .ring import AffinePoint
 
 # Mora reduction occasionally runs away (degree/coefficient blow-up on
 # unlucky inputs, with per-step cost growing as the coefficients swell);

@@ -112,7 +112,7 @@ def _parse_cycle(ring, text: str, ideals) -> CycleRep:
     return CycleRep.build(ring, parts)
 
 
-def _check_fresh(problem: Problem, kind: str, name: str):
+def _check_fresh(problem: Problem, name: str):
     for table in (problem.ideals, problem.cycles, problem.points, problem.maps):
         if name in table:
             raise InputError(f"duplicate name {name!r}")
@@ -128,7 +128,7 @@ def _handle_declaration(problem: Problem, key: str, name: str | None, body: str)
     elif key == "ideal":
         if not name:
             raise InputError("ideal needs a name")
-        _check_fresh(problem, key, name)
+        _check_fresh(problem, name)
         mm = _MAP_RE.match(body)
         if mm:
             mdef = problem.map_def(mm.group("name"))
@@ -139,17 +139,17 @@ def _handle_declaration(problem: Problem, key: str, name: str | None, body: str)
     elif key == "cycle":
         if not name:
             raise InputError("cycle needs a name")
-        _check_fresh(problem, key, name)
+        _check_fresh(problem, name)
         problem.cycles[name] = _parse_cycle(ring, body.strip(), problem.ideals)
     elif key == "point":
         if not name:
             raise InputError("point needs a name")
-        _check_fresh(problem, key, name)
+        _check_fresh(problem, name)
         problem.points[name] = ring.parse_point(body)
     elif key == "map":
         if not name:
             raise InputError("map needs a name")
-        _check_fresh(problem, key, name)
+        _check_fresh(problem, name)
         if "|" not in body:
             raise InputError("map syntax: map NAME: params | components")
         params, comps = body.split("|", 1)

@@ -7,11 +7,14 @@ printing or running division-type algorithms.  The text format accepted by
 format used everywhere: identifiers for variables, ``+ - * ^``, integer and
 ``a/b`` rational literals.  Multiplication is always explicit (``2*x``, not
 ``2x``); exponents are integer literals, and neither an exponent nor the
-total degree of a power or product may exceed ``MAX_DEGREE``.
+total degree of a power or product may exceed ``MAX_DEGREE``.  No literal,
+and no coefficient a power or product could build, may have more than
+``MAX_DIGITS`` decimal digits.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -23,6 +26,11 @@ from .orders import GREVLEX
 # the parser accepts.  Hilbert data allocate one coefficient per degree, so a
 # degree like 10^9 would ask for gigabytes; the shipped inputs stay below 100.
 MAX_DEGREE = 10_000
+# Most decimal digits of an integer literal, and of any numerator or
+# denominator a power or product could build, the parser accepts.  It keeps
+# every parsed coefficient printable: Python converts at most 4300 digits
+# between int and str.  2^10000 has 3011 digits.
+MAX_DIGITS = 4_000
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(
@@ -379,10 +387,32 @@ def _tokenize(text: str):
     return tokens
 
 
-def _check_degree(degree: int) -> None:
-    """Rejects a power or product before it is expanded to a degree above the cap."""
+def _digits(p: Polynomial) -> float:
+    """Decimal digits bounding every numerator and denominator of p, so that
+    k * _digits(p) bounds those of p^k and sums bound products: with d the
+    least common denominator, each coefficient of (d*p)^k is at most the k-th
+    power of the 1-norm of d*p."""
+    d = math.lcm(*(c.denominator for c in p.terms.values()))
+    norm = sum(abs(c.numerator) * (d // c.denominator) for c in p.terms.values())
+    return math.log10(max(norm, d))
+
+
+def _check_size(degree: int, digits: float) -> None:
+    """Rejects a power or product before it is expanded past either cap."""
     if degree > MAX_DEGREE:
         raise InputError(f"degree {degree} exceeds the limit {MAX_DEGREE}")
+    if digits > MAX_DIGITS:
+        raise InputError(
+            f"a coefficient of up to {math.ceil(digits)} digits exceeds the limit {MAX_DIGITS}"
+        )
+
+
+def _literal(text: str) -> int:
+    """An integer literal, its length checked before int() reads it."""
+    text = text.lstrip("0") or "0"
+    if len(text) > MAX_DIGITS:
+        raise InputError(f"a literal of {len(text)} digits exceeds the limit {MAX_DIGITS}")
+    return int(text)
 
 
 class _Parser:
@@ -440,7 +470,7 @@ class _Parser:
         while self.peek() == ("op", "*"):
             self.take()
             q = self.factor()
-            _check_degree(p.total_degree() + q.total_degree())
+            _check_size(p.total_degree() + q.total_degree(), _digits(p) + _digits(q))
             p = p * q
         return p
 
@@ -451,11 +481,11 @@ class _Parser:
             kind, val = self.take()
             if kind != "int":
                 raise InputError("exponent must be a nonnegative integer")
-            k = val.lstrip("0") or "0"
-            if len(k) > len(str(MAX_DEGREE)) or int(k) > MAX_DEGREE:
+            k = _literal(val)
+            if k > MAX_DEGREE:
                 raise InputError(f"exponent {k} exceeds the limit {MAX_DEGREE}")
-            _check_degree(p.total_degree() * int(k))
-            p = p ** int(k)
+            _check_size(p.total_degree() * k, _digits(p) * k)
+            p = p**k
         return p
 
     def atom(self) -> Polynomial:
@@ -466,15 +496,16 @@ class _Parser:
             except KeyError:
                 raise InputError(f"unknown variable {val!r}") from None
         if kind == "int":
-            num = int(val)
+            num = _literal(val)
             if self.peek() == ("op", "/"):
                 self.take()
                 kind2, val2 = self.take()
                 if kind2 != "int":
                     raise InputError("denominator must be an integer")
-                if int(val2) == 0:
+                den = _literal(val2)
+                if den == 0:
                     raise InputError(f"division by zero in {self.text!r}")
-                return self.ring.constant(Fraction(num, int(val2)))
+                return self.ring.constant(Fraction(num, den))
             return self.ring.constant(num)
         if (kind, val) == ("op", "("):
             p = self.expr()

@@ -151,7 +151,17 @@ def test_zero_denominator_is_input_error(tmp_path, capsys):
     assert "division by zero" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("gen", ["x^1000000000 - y", "(x^10000)^10000 - y", "x^10000*x - y"])
+@pytest.mark.parametrize(
+    "gen",
+    [
+        "x^1000000000 - y",
+        "(x^10000)^10000 - y",
+        "x^10000*x - y",
+        pytest.param("1" * 5000 + "*x", id="long-literal"),
+        pytest.param("1/" + "1" * 5000 + "*x", id="long-denominator"),
+        pytest.param("(2^10000)^10000*x - y", id="huge-constant"),
+    ],
+)
 def test_huge_degree_is_input_error(gen, tmp_path, capsys):
     f = tmp_path / "huge.prob"
     f.write_text(f"ring x y\nideal A: {gen}\n")

@@ -20,6 +20,7 @@ from segrenum import (
     tworzewski_index,
     tworzewski_point_part,
 )
+from segrenum import cycles
 
 R2 = Ring(["x", "y"])
 R3 = Ring(["x1", "x2", "x3"])
@@ -126,6 +127,41 @@ def test_three_coordinate_planes():
     planes = [CycleRep.from_ideal(Ideal(R3, [g])) for g in ("x1", "x2", "x3")]
     out = proper_intersect(planes, point=AffinePoint(R3, (0, 0, 0)))
     assert out.mult == 1
+
+
+@pytest.mark.parametrize("skip_identity", [False, True], ids=["then-identity", "then-random"])
+@pytest.mark.parametrize(
+    "ring, gens, cuts",
+    [(R2, ["x", "y"], 2), (R2, ["y - x^2", "y"], 2), (R3, ["x1", "x2", "x3"], 6)],
+    ids=["transverse-lines", "tangent-curve-and-line", "three-planes"],
+)
+def test_rejected_shear_costs_no_reduction(ring, gens, cuts, skip_identity, monkeypatch):
+    parts = [CycleRep.from_ideal(Ideal(ring, [g])) for g in gens]
+    origin = AffinePoint(ring, (0,) * ring.arity)
+    plain = proper_intersect(parts, point=origin)
+    real_shears, real_reduce = cycles._shears, cycles.linear_reduce
+    drawn, reductions = [], []
+
+    def shears(count, rng, retries):
+        drawn.append("zero")
+        yield [[0] * count for _ in range(count)]  # every form degenerate
+        stream = real_shears(count, rng, retries)
+        if skip_identity:
+            next(stream)
+        for mat in stream:
+            drawn.append(mat)
+            yield mat
+
+    def reduce(*args, **kwargs):
+        reductions.append(args)
+        return real_reduce(*args, **kwargs)
+
+    monkeypatch.setattr(cycles, "_shears", shears)
+    monkeypatch.setattr(cycles, "linear_reduce", reduce)
+    out = proper_intersect(parts, point=origin)
+    assert (out.cycle, out.mult) == (plain.cycle, plain.mult)
+    assert len(drawn) == 2  # the zero matrix was rejected, the next shear passed
+    assert len(reductions) == 1 + cuts  # one for the product, one per cut
 
 
 def test_improper_rejected():

@@ -1,5 +1,6 @@
 """Polynomial carrier: parsing, arithmetic, substitution, translation."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segrenum import AffinePoint, InputError, Polynomial, Ring
-from segrenum.ring import MAX_DEGREE
+from segrenum.ring import MAX_DEGREE, MAX_DIGITS
 
 R2 = Ring(["x", "y"])
 R3 = Ring(["x", "y", "z"])
@@ -112,6 +113,57 @@ def test_parse_accepts_degrees_up_to_the_limit():
     assert R2.parse("(x^100)^100 - y").total_degree() == MAX_DEGREE
     assert R2.parse("x^5000*y^5000 + (x - x)^10000").total_degree() == MAX_DEGREE
     assert R2.parse("2^10000").total_degree() == 0
+
+
+def _height_digits(p):
+    return math.log10(max(max(abs(c.numerator), c.denominator) for c in p.terms.values()))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(2^10000)^10000",
+        "((2^10000)^10000)^10000",
+        "(1/3)^10000",
+        "(x + 3)^9000",
+        "2^3000*2^3000*2^3000*2^3000*2^3000",
+        "9" * 3000 + "*" + "9" * 3000 + "*x",
+        "(1/7)^4000*(1/7)^4000",
+    ],
+    ids=lambda text: text[:40],
+)
+def test_parse_rejects_huge_constants_before_the_power(text, monkeypatch):
+    pow_, mul = Polynomial.__pow__, Polynomial.__mul__
+
+    # a constant's height is exact, and the cases keep the largest
+    # coefficient of each power at a vertex, where c^k survives
+    def capped_pow(self, k):
+        assert k * _height_digits(self) <= MAX_DIGITS, "expanded"
+        return pow_(self, k)
+
+    def capped_mul(self, other):
+        assert _height_digits(self) + _height_digits(other) <= MAX_DIGITS, "expanded"
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__pow__", capped_pow)
+    monkeypatch.setattr(Polynomial, "__mul__", capped_mul)
+    with pytest.raises(InputError, match="exceeds the limit"):
+        R2.parse(text)
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "1/" + "1" * 5000], ids=["numerator", "denominator"])
+def test_parse_rejects_long_literals(text):
+    with pytest.raises(InputError, match="5000 digits exceeds the limit"):
+        R2.parse(text)
+
+
+def test_parse_accepts_constants_up_to_the_limit():
+    nines = "9" * MAX_DIGITS
+    assert R2.parse(nines) == R2.constant(int(nines))
+    assert R2.parse("1/" + nines) == R2.constant(Fraction(1, int(nines)))
+    assert R2.parse("0" * 5000 + "7") == R2.constant(7)
+    assert R2.parse("(2^1000)^4") == R2.constant(2**4000)
+    assert R2.parse("2^3000*2^3000*x").terms == {(1, 0): 2**6000}
 
 
 def test_parse_unknown_variable():
