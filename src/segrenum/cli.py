@@ -41,7 +41,6 @@ from .vogel import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     fixed_support,
-    run_trials,
     segre_at,
     polar_at,
 )
@@ -58,6 +57,11 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _point_of(problem: Problem, args):
     name = getattr(args, "point", None)
     return problem.point(name) if name else None
+
+
+def _trials(problem: Problem, args):
+    """The point, trials, seed and coefficient bound of a trial command."""
+    return _point_of(problem, args), args.trials, args.seed, args.coeff_bound
 
 
 def _named_cycles(problem: Problem, names):
@@ -114,33 +118,23 @@ def _mult_result_doc(res) -> dict:
 
 def _cmd_segre(problem, args):
     f = problem.ideal(args.ideal).gens
-    res = segre_at(
-        f, problem.space, _point_of(problem, args), args.trials, args.seed, args.coeff_bound
-    )
-    return _mult_result_doc(res)
+    return _mult_result_doc(segre_at(f, problem.space, *_trials(problem, args)))
 
 
 def _cmd_polar(problem, args):
     f = problem.ideal(args.ideal).gens
-    res = polar_at(
-        f, problem.space, _point_of(problem, args), args.trials, args.seed, args.coeff_bound
-    )
-    return _mult_result_doc(res)
+    return _mult_result_doc(polar_at(f, problem.space, *_trials(problem, args)))
 
 
 def _cmd_vogel(problem, args):
     f = problem.ideal(args.ideal).gens
-    runs = run_trials(
-        f, problem.space, _point_of(problem, args), args.trials, args.seed, args.coeff_bound
-    )
-    vectors = [r.mult_z for r in runs]
-    best = min(vectors)
-    idx = vectors.index(best)
-    run = runs[idx]
+    res = segre_at(f, problem.space, *_trials(problem, args))
+    idx = res.trial_vectors.index(res.values)  # the first trial at the minimum
+    run = res.runs[idx]
     return {
-        "values": list(run.mult_z),
+        "values": list(res.values),
         "off": list(run.mult_off),
-        "stable": vectors.count(best) >= 2,
+        "stable": res.stable,
         "trial": idx,
         "elements": [str(h) for h in run.sequence.elements],
         "steps": [
@@ -159,9 +153,7 @@ def _cmd_vogel(problem, args):
 
 def _cmd_fixed(problem, args):
     f = problem.ideal(args.ideal).gens
-    rep = fixed_support(
-        f, problem.space, _point_of(problem, args), args.trials, args.seed, args.coeff_bound
-    )
+    rep = fixed_support(f, problem.space, *_trials(problem, args))
     return {
         "per_codim": [
             {
@@ -211,40 +203,25 @@ def _index_doc(idx) -> dict:
 def _cmd_circ(problem, args):
     f = problem.ideal(args.ideal).gens
     cycle = problem.cycle(args.cycle)
-    idx = circ_index(
-        f, cycle, _point_of(problem, args), args.trials, args.seed, args.coeff_bound
-    )
-    return _index_doc(idx)
+    return _index_doc(circ_index(f, cycle, *_trials(problem, args)))
 
 
 def _cmd_tworzewski(problem, args):
     cycles = _named_cycles(problem, args.cycles)
-    idx = tworzewski_index(
-        cycles, _point_of(problem, args), args.trials, args.seed, args.coeff_bound
-    )
-    return _index_doc(idx)
+    return _index_doc(tworzewski_index(cycles, *_trials(problem, args)))
 
 
 def _cmd_point_part(problem, args):
-    point = _point_of(problem, args)
+    trial_args = _trials(problem, args)
     if args.cycles and (args.ideal or args.cycle):
         raise InputError("give either --cycles or --ideal with --cycle")
     if args.cycles:
-        rep = tworzewski_point_part(
-            _named_cycles(problem, args.cycles),
-            point,
-            args.trials,
-            args.seed,
-            args.coeff_bound,
-        )
+        rep = tworzewski_point_part(_named_cycles(problem, args.cycles), *trial_args)
     elif args.ideal and args.cycle:
         rep = restricted_point_part(
             problem.ideal(args.ideal).gens,
             problem.cycle(args.cycle),
-            point,
-            args.trials,
-            args.seed,
-            args.coeff_bound,
+            *trial_args,
         )
     else:
         raise InputError("point-part needs --cycles NAMES or --ideal A --cycle Z")
@@ -386,19 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("dim", help="Krull dimension of a named ideal")
     sp.add_argument("--ideal", required=True)
 
-    sp = add("mult", help="local dimension and Hilbert-Samuel multiplicity")
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--point")
-
-    sp = add("tangent-cone", help="ideal of the tangent cone at a point")
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--point")
-
-    sp = add("colength", help="vector-space codimension of a zero-dimensional ideal")
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--point")
-
     for name, help_text in (
+        ("mult", "local dimension and Hilbert-Samuel multiplicity"),
+        ("tangent-cone", "ideal of the tangent cone at a point"),
+        ("colength", "vector-space codimension of a zero-dimensional ideal"),
         ("segre", "Segre numbers of an ideal on the space at a point"),
         ("polar", "polar multiplicities of an ideal on the space at a point"),
         ("vogel", "full Vogel-cycle trace of the lex-min certified trial"),

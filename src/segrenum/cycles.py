@@ -3,9 +3,11 @@
 A cycle is a formal integer combination of ideals (its parts); products of
 cycles are computed on the product space in (w, eta) coordinates, where block
 one keeps the original variable names and block j maps v -> w_v + eta_j_v, so
-the diagonal ideal is spanned by the eta variables.  Each product of parts is
-built and linearly reduced once, with the diagonal forms carried along; the
-shears of the diagonal cuts act on those reduced forms, since substitution is
+the diagonal ideal is spanned by the eta variables.  Products walk every
+combination of one part per cycle (``_part_products``): each combination is
+moved to the point, built and linearly reduced once, with the diagonal forms
+carried along, and combinations with an empty part are skipped.  The shears
+of the diagonal cuts act on those reduced forms, since substitution is
 linear.  Every reduction step is recorded so component ideals can be mapped
 back to the original coordinates.
 """
@@ -321,18 +323,24 @@ def cycle_local_mult(cycle: CycleRep, point: AffinePoint | None = None) -> int:
     return total
 
 
-def _part_products(cycles):
-    """(common ring, (ideals, coefficient product) for each combination of
-    one part per cycle); InputError unless there are two or more cycles,
-    all on one ring."""
+def _part_products(cycles, point: AffinePoint | None = None):
+    """The common ring, and (product, coefficient product) for each combination
+    of one part per cycle whose parts, moved to the point, are all nonempty;
+    InputError unless there are two or more cycles, all on one ring."""
     cycles = list(cycles)
     if len(cycles) < 2:
         raise InputError("need at least two cycles")
     ring = cycles[0].ring
     if any(z.ring != ring for z in cycles):
         raise InputError("cycles from different rings")
-    combos = itertools.product(*[z.parts for z in cycles])
-    return ring, (([i for i, _ in c], math.prod(k for _, k in c)) for c in combos)
+
+    def walk():
+        for combo in itertools.product(*[z.parts for z in cycles]):
+            prod = _product([i for i, _ in combo], ring, point)
+            if prod is not None:
+                yield prod, math.prod(k for _, k in combo)
+
+    return ring, walk()
 
 
 @dataclass(frozen=True)
@@ -354,14 +362,12 @@ def proper_intersect(
     the point.  Raises ImproperIntersectionError when a combination meets
     in excess dimension.
     """
-    ring, combos = _part_products(cycles)
-    n = ring.arity
+    ring, products = _part_products(cycles)
     out_parts = []
-    for ideals, coeff in combos:
-        prod = _product(ideals, ring)
-        if prod is None:
-            continue
-        expected = prod.dim - (len(ideals) - 1) * n
+    for prod, coeff in products:
+        # linear_reduce carries every aux form, zero ones included, so the
+        # diagonal keeps all its (r - 1) * n forms and codimension
+        expected = prod.dim - len(prod.eta)
         # the substitutions are isomorphisms, so the reduced ring gives the dimension
         d_actual = (prod.space + prod.eta).krull_dimension()
         if d_actual > max(expected, -1):
@@ -417,9 +423,8 @@ def _accumulate(by_dim: dict[int, int], n_part: int, coeff: int, values):
             by_dim[n_part - k] = by_dim.get(n_part - k, 0) + coeff * ek
 
 
-def _index_from(by_dim: dict[int, int], top: int, stable: bool, notes=()) -> ExtendedIndex:
-    vec = tuple(by_dim.get(d, 0) for d in range(top + 1))
-    return ExtendedIndex(vec, stable, tuple(notes))
+def _index_from(by_dim: dict[int, int], top: int, stable: bool) -> ExtendedIndex:
+    return ExtendedIndex(tuple(by_dim.get(d, 0) for d in range(top + 1)), stable)
 
 
 def circ_index(
@@ -455,14 +460,11 @@ def tworzewski_index(
 ) -> ExtendedIndex:
     """Pointwise Tworzewski product index of two or more cycles at x:
     diagonal Segre numbers on the product, multilinear in the parts."""
-    ring, combos = _part_products(cycles)
+    _, products = _part_products(cycles, point)
     by_dim: dict[int, int] = {}
     top = -1
     stable = True
-    for ideals, coeff in combos:
-        prod = _product(ideals, ring, point)
-        if prod is None:
-            continue
+    for prod, coeff in products:
         top = max(top, prod.min_dim)
         res = segre_at(prod.eta, prod.space, None, trials, seed, bound)
         stable = stable and res.stable
@@ -494,15 +496,12 @@ def tworzewski_point_part(
 ) -> PointPartReport:
     """Coefficient of {x} in the Tworzewski product, with the positive-
     dimensional fixed components (mapped back to the base ring)."""
-    ring, combos = _part_products(cycles)
+    ring, products = _part_products(cycles, point)
     mass = 0
     fixed: list = []
     notes: list[str] = []
     back = None if point is None else point.negate()
-    for ideals, coeff in combos:
-        prod = _product(ideals, ring, point)
-        if prod is None:
-            continue
+    for prod, coeff in products:
         pp = point_part(prod.eta, prod.space, None, trials, seed, bound)
         mass += coeff * pp.point
         notes.extend(pp.notes)

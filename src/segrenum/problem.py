@@ -62,10 +62,7 @@ class Problem:
     expects: list[Expectation] = field(default_factory=list)
 
     def ideal(self, name: str) -> Ideal:
-        try:
-            return self.ideals[name]
-        except KeyError:
-            raise InputError(f"no ideal named {name!r}") from None
+        return _named(self.ideals, "ideal", name)
 
     def cycle(self, name: str) -> CycleRep:
         if name in self.cycles:
@@ -76,16 +73,17 @@ class Problem:
         raise InputError(f"no cycle or ideal named {name!r}")
 
     def point(self, name: str) -> AffinePoint:
-        try:
-            return self.points[name]
-        except KeyError:
-            raise InputError(f"no point named {name!r}") from None
+        return _named(self.points, "point", name)
 
     def map_def(self, name: str) -> MapDef:
-        try:
-            return self.maps[name]
-        except KeyError:
-            raise InputError(f"no map named {name!r}") from None
+        return _named(self.maps, "map", name)
+
+
+def _named(table: dict, kind: str, name: str):
+    try:
+        return table[name]
+    except KeyError:
+        raise InputError(f"no {kind} named {name!r}") from None
 
 
 def _parse_cycle(ring, text: str, ideals) -> CycleRep:
@@ -112,23 +110,19 @@ def _parse_cycle(ring, text: str, ideals) -> CycleRep:
     return CycleRep.build(ring, parts)
 
 
-def _check_fresh(problem: Problem, name: str):
-    for table in (problem.ideals, problem.cycles, problem.points, problem.maps):
-        if name in table:
-            raise InputError(f"duplicate name {name!r}")
-
-
 def _handle_declaration(problem: Problem, key: str, name: str | None, body: str):
     ring = problem.ring
+    if key in ("ideal", "cycle", "point", "map"):
+        if not name:
+            raise InputError(f"{key} needs a name")
+        if any(name in t for t in (problem.ideals, problem.cycles, problem.points, problem.maps)):
+            raise InputError(f"duplicate name {name!r}")
     if key == "space":
         if not problem.space.is_zero():
             raise InputError("duplicate space line")
         gens = [ring.parse(t) for t in body.split(",") if t.strip()]
         problem.space = Ideal(ring, gens)
     elif key == "ideal":
-        if not name:
-            raise InputError("ideal needs a name")
-        _check_fresh(problem, name)
         mm = _MAP_RE.match(body)
         if mm:
             mdef = problem.map_def(mm.group("name"))
@@ -137,19 +131,10 @@ def _handle_declaration(problem: Problem, key: str, name: str | None, body: str)
             gens = [ring.parse(t) for t in body.split(",") if t.strip()]
             problem.ideals[name] = Ideal(ring, gens)
     elif key == "cycle":
-        if not name:
-            raise InputError("cycle needs a name")
-        _check_fresh(problem, name)
         problem.cycles[name] = _parse_cycle(ring, body.strip(), problem.ideals)
     elif key == "point":
-        if not name:
-            raise InputError("point needs a name")
-        _check_fresh(problem, name)
         problem.points[name] = ring.parse_point(body)
     elif key == "map":
-        if not name:
-            raise InputError("map needs a name")
-        _check_fresh(problem, name)
         if "|" not in body:
             raise InputError("map syntax: map NAME: params | components")
         params, comps = body.split("|", 1)

@@ -9,7 +9,8 @@ format used everywhere: identifiers for variables, ``+ - * ^``, integer and
 ``2x``); exponents are integer literals, and neither an exponent nor the
 total degree of a power or product may exceed ``MAX_DEGREE``.  No literal,
 and no coefficient a power or product could build, may have more than
-``MAX_DIGITS`` decimal digits.
+``MAX_DIGITS`` decimal digits, and no power, product or translation may
+expand to more than ``MAX_TERMS`` terms.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ MAX_DEGREE = 10_000
 # every parsed coefficient printable: Python converts at most 4300 digits
 # between int and str.  2^10000 has 3011 digits.
 MAX_DIGITS = 4_000
+# Most terms a power, product or translation may expand to, bounded before it
+# is expanded: (x+y+z+w)^5000 passes both caps above but has about 2*10^10
+# terms.  No shipped input or benchmark workload needs more than 1, no test
+# more than 441.
+MAX_TERMS = 100_000
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(
@@ -334,6 +340,8 @@ class Polynomial:
             for i, c in enumerate(point.coords)
             if c != 0
         }
+        # x^e expands to one term per monomial dividing it in the moved variables
+        _check_terms(sum(math.prod(e[i] + 1 for i in bindings) for e in self.terms))
         return self.substitute(bindings)
 
     # -- text --------------------------------------------------------------
@@ -397,14 +405,29 @@ def _digits(p: Polynomial) -> float:
     return math.log10(max(norm, d))
 
 
-def _check_size(degree: int, digits: float) -> None:
-    """Rejects a power or product before it is expanded past either cap."""
+def _power_terms(p: Polynomial, k: int) -> int:
+    """Bound on the terms of p^k: the multisets of k terms of p, and the
+    monomials of degree at most k * deg p in the variables of p."""
+    v, deg = len(p.variables()), max(p.total_degree(), 0)
+    return min(math.comb(max(len(p.terms), 1) + k - 1, k), math.comb(v + k * deg, v))
+
+
+def _check_terms(terms: int) -> None:
+    if terms > MAX_TERMS:
+        raise InputError(
+            f"an expansion of up to 10^{math.log10(terms):.1f} terms exceeds the limit {MAX_TERMS}"
+        )
+
+
+def _check_size(degree: int, digits: float, terms: int) -> None:
+    """Rejects a power or product before it is expanded past any cap."""
     if degree > MAX_DEGREE:
         raise InputError(f"degree {degree} exceeds the limit {MAX_DEGREE}")
     if digits > MAX_DIGITS:
         raise InputError(
             f"a coefficient of up to {math.ceil(digits)} digits exceeds the limit {MAX_DIGITS}"
         )
+    _check_terms(terms)
 
 
 def _literal(text: str) -> int:
@@ -470,7 +493,11 @@ class _Parser:
         while self.peek() == ("op", "*"):
             self.take()
             q = self.factor()
-            _check_size(p.total_degree() + q.total_degree(), _digits(p) + _digits(q))
+            _check_size(
+                p.total_degree() + q.total_degree(),
+                _digits(p) + _digits(q),
+                len(p.terms) * len(q.terms),
+            )
             p = p * q
         return p
 
@@ -484,7 +511,7 @@ class _Parser:
             k = _literal(val)
             if k > MAX_DEGREE:
                 raise InputError(f"exponent {k} exceeds the limit {MAX_DEGREE}")
-            _check_size(p.total_degree() * k, _digits(p) * k)
+            _check_size(p.total_degree() * k, _digits(p) * k, _power_terms(p, k))
             p = p**k
         return p
 

@@ -9,7 +9,8 @@ combinations h_j = sum alpha_ji f_i drives the inductive cycle construction
 whose Z-part multiplicities at x (guarded by the expected dimension n - k)
 give one trial vector.  The reported Segre numbers are the lexicographic
 minimum of the trial vectors over certified sequences; polar multiplicities
-are the same minimum taken over the off-part vectors.  A sequence is
+are the same minimum taken over the off-part vectors.  ``_lex_min`` is the one
+place the reported trial and its stability are chosen.  A sequence is
 certified when, for every k >= 1, I_k^off = (I_X + (h_1..h_k)) : (f)^inf is
 the unit ideal or has dimension exactly n - k; the runs reuse these I_k^off.
 """
@@ -85,14 +86,14 @@ def _combos(f: list[Polynomial], alpha_row, ring) -> Polynomial:
     return h
 
 
-def _certify(h: list[Polynomial], X: Ideal, fid: Ideal) -> tuple[tuple[Ideal, ...], int | None]:
-    """The chain off_0 = X : fid^inf, off_k = (off_{k-1} + (h_k)) : fid^inf, up to
-    the first k whose off_k is neither (1) nor of dimension dim X - k; that k or None."""
-    chain = [X.saturate(fid)]
+def _certify(h: list[Polynomial], off0: Ideal, fid: Ideal, n: int) -> tuple[tuple[Ideal, ...], int | None]:
+    """The chain from off_0 = X : fid^inf (dim X = n), off_k = (off_{k-1} + (h_k)) : fid^inf,
+    up to the first k whose off_k is neither (1) nor of dimension n - k; that k or None."""
+    chain = [off0]
     for k, p in enumerate(h, start=1):
         off = (chain[-1] + (p,)).saturate(fid)
         chain.append(off)
-        if not off.is_unit() and off.krull_dimension() != X.krull_dimension() - k:
+        if not off.is_unit() and off.krull_dimension() != n - k:
             return tuple(chain), k
     return tuple(chain), None
 
@@ -108,7 +109,7 @@ def verify_vogel_condition(h, X: Ideal, J: Ideal) -> tuple[bool, int | None]:
             raise InputError("elements from a different ring")
         if not J.contains(p):
             raise InputError("h must consist of elements of J")
-    _, bad = _certify(h, X, J)
+    _, bad = _certify(h, X.saturate(J), J, X.krull_dimension())
     return bad is None, bad
 
 
@@ -130,6 +131,7 @@ def random_vogel_sequence(
         off = (Ideal(ring, (ring.one(),)),) * (n + 1)  # no point lies off V(0)
         return VogelSequence(((0,) * len(f),) * n, (ring.zero(),) * n, True, off)
     fid = Ideal(ring, nonzero)
+    off0 = X.saturate(fid)
     last_bad = None
     for _ in range(retries):
         alpha = tuple(
@@ -138,7 +140,7 @@ def random_vogel_sequence(
         h = [_combos(f, row, ring) for row in alpha]
         if any(p.is_zero() for p in h):
             continue
-        chain, bad = _certify(h, X, fid)
+        chain, bad = _certify(h, off0, fid, n)
         if bad is None:
             return VogelSequence(alpha, tuple(h), True, chain)
         last_bad = bad
@@ -146,6 +148,15 @@ def random_vogel_sequence(
         f"no certified Vogel sequence in {retries} draws (failing codim {last_bad})",
         codim=last_bad,
     )
+
+
+def _step_mass(ideal: Ideal, expected: int, k: int, what: str) -> tuple[int, int]:
+    """Local dimension at the origin and the multiplicity counted only in the
+    expected dimension; GenericityError above it."""
+    ld, m = local_dim_mult(ideal)
+    if ld > expected:
+        raise GenericityError(f"step {k}{what} has local dimension {ld} > {expected}", codim=k)
+    return ld, m if ld == expected else 0
 
 
 def vogel_run(X: Ideal, sequence: VogelSequence) -> VogelRun:
@@ -156,19 +167,8 @@ def vogel_run(X: Ideal, sequence: VogelSequence) -> VogelRun:
     for k, off in enumerate(sequence.off):
         if k > 0:
             cur = steps[-1].off + (sequence.elements[k - 1],)
-        expected = n - k
-        ld, m = local_dim_mult(cur)
-        if ld > expected:
-            raise GenericityError(
-                f"step {k} has local dimension {ld} > {expected}", codim=k
-            )
-        mult = m if ld == expected else 0
-        old, om = local_dim_mult(off)
-        if old > expected:
-            raise GenericityError(
-                f"step {k} off-part has local dimension {old} > {expected}", codim=k
-            )
-        off_mult = om if old == expected else 0
+        ld, mult = _step_mass(cur, n - k, k, "")
+        old, off_mult = _step_mass(off, n - k, k, " off-part")
         steps.append(
             VogelStep(k, cur, off, ld, mult, old, off_mult, mult - off_mult)
         )
@@ -217,25 +217,23 @@ class MultResult:
     runs: list = field(compare=False, repr=False, default=None)
 
 
-def _lex_min(vectors) -> tuple[tuple[int, ...], bool]:
+def _lex_min(runs, vectors) -> MultResult:
+    """The reported result: the lexicographic minimum of the trial vectors,
+    stable when at least two trials reach it."""
     best = min(vectors)
-    return best, vectors.count(best) >= 2
+    return MultResult(best, vectors.count(best) >= 2, tuple(vectors), runs)
 
 
 def segre_at(f, X, point=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, bound=DEFAULT_BOUND) -> MultResult:
     """Segre numbers (e_0, ..., e_n) of (f) on X at the point."""
     runs = run_trials(f, X, point, trials, seed, bound)
-    vectors = [r.mult_z for r in runs]
-    best, stable = _lex_min(vectors)
-    return MultResult(best, stable, tuple(vectors), runs)
+    return _lex_min(runs, [r.mult_z for r in runs])
 
 
 def polar_at(f, X, point=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, bound=DEFAULT_BOUND) -> MultResult:
     """Polar multiplicities (m_0, ..., m_n): the off-part masses at the point."""
     runs = run_trials(f, X, point, trials, seed, bound)
-    vectors = [r.mult_off for r in runs]
-    best, stable = _lex_min(vectors)
-    return MultResult(best, stable, tuple(vectors), runs)
+    return _lex_min(runs, [r.mult_off for r in runs])
 
 
 @dataclass(frozen=True)
@@ -315,9 +313,8 @@ def point_part(f, X, point=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, bound
     """
     if trials < 2:
         raise InputError("point-part needs at least 2 trials")
-    runs = run_trials(f, X, point, trials, seed, bound)
-    vectors = [r.mult_z for r in runs]
-    e, _ = _lex_min(vectors)
+    res = segre_at(f, X, point, trials, seed, bound)
+    e, runs = res.values, res.runs
     n = len(e) - 1
     mass = 0
     fixed = []

@@ -8,6 +8,7 @@ import pytest
 
 from segrenum import GenericityError, SegrenumError, UnresolvedMovingSupportError
 from segrenum.cli import COMMANDS, corpus_files, corpus_path, main, render, run
+from segrenum.problem import load_problem
 
 CUSP = corpus_path("cusp.prob")
 TWISTED = corpus_path("twisted_cubic.prob")
@@ -57,6 +58,30 @@ def test_vogel_payload(capsys):
     assert [s["k"] for s in res["steps"]] == [0, 1, 2, 3]
     assert len(res["elements"]) == 3
     assert {"dim", "mult", "off_dim", "off_mult", "z_mult"} <= set(res["steps"][0])
+
+
+SEGRE_LINES = [
+    (corpus_path(name), exp.argv[1:])
+    for name in corpus_files()
+    for exp in load_problem(corpus_path(name)).expects
+    if exp.argv[0] == "segre"
+]
+
+
+# coefficient bound 1 draws non-generic trials too, so the minimum is not
+# always stable nor reached first (seeds 2-5 show both)
+@pytest.mark.parametrize("bound", ["99", "1"])
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_vogel_reports_the_segre_minimum(seed, bound):
+    # vogel traces the first trial that reaches segre's lex-min, with its stability
+    assert len(SEGRE_LINES) == 4
+    for path, rest in SEGRE_LINES:
+        argv = [path, *rest, "--seed", str(seed), "--coeff-bound", bound]
+        segre = run(["segre", *argv])[0]["result"]
+        vogel = run(["vogel", *argv])[0]["result"]
+        assert vogel["values"] == segre["values"]
+        assert vogel["stable"] == segre["stable"]
+        assert vogel["trial"] == segre["trial_vectors"].index(segre["values"])
 
 
 def test_text_format_renders_nested(capsys):
@@ -167,6 +192,21 @@ def test_huge_degree_is_input_error(gen, tmp_path, capsys):
     f.write_text(f"ring x y\nideal A: {gen}\n")
     assert main(["dim", "--ideal", "A", str(f)]) == 2
     assert "exceeds the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "gen, argv",
+    [
+        ("(x + y + z + w)^5000", ["dim", "--ideal", "A"]),
+        ("(x*y*z*w)^2500", ["mult", "--ideal", "A", "--point", "P"]),
+    ],
+    ids=["power", "translation"],
+)
+def test_huge_expansion_is_input_error(gen, argv, tmp_path, capsys):
+    f = tmp_path / "huge.prob"
+    f.write_text(f"ring x y z w\nideal A: {gen}\npoint P: 1, 1, 1, 1\n")
+    assert main([*argv, str(f)]) == 2
+    assert "terms exceeds the limit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("order, code", [("elim:9", 2), ("elim:3", 0)])

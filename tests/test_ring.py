@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segrenum import AffinePoint, InputError, Polynomial, Ring
-from segrenum.ring import MAX_DEGREE, MAX_DIGITS
+from segrenum import ring as ring_module
+from segrenum.ring import MAX_DEGREE, MAX_DIGITS, MAX_TERMS
 
 R2 = Ring(["x", "y"])
 R3 = Ring(["x", "y", "z"])
+R4 = Ring(["x", "y", "z", "w"])
 
 
 # -- construction and validation ------------------------------------------------
@@ -149,6 +151,56 @@ def test_parse_rejects_huge_constants_before_the_power(text, monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", capped_mul)
     with pytest.raises(InputError, match="exceeds the limit"):
         R2.parse(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(x + y + z + w)^5000",
+        "((x + y + z + w)^20)^20",
+        "(x + y)^200*(z + w)^200*(x + z)^200",
+        "(x + y + z + w)^20*(x - y + z - w)^20",
+    ],
+)
+def test_parse_rejects_huge_expansions_before_expanding(text, monkeypatch):
+    pow_, mul = Polynomial.__pow__, Polynomial.__mul__
+
+    # every term of p^k is a product of k terms of p
+    def capped_pow(self, k):
+        assert math.comb(len(self.terms) + k - 1, k) <= MAX_TERMS, "expanded"
+        return pow_(self, k)
+
+    def capped_mul(self, other):
+        assert len(self.terms) * len(other.terms) <= MAX_TERMS, "expanded"
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__pow__", capped_pow)
+    monkeypatch.setattr(Polynomial, "__mul__", capped_mul)
+    with pytest.raises(InputError, match=f"terms exceeds the limit {MAX_TERMS}"):
+        R4.parse(text)
+
+
+def test_expansion_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(ring_module, "MAX_TERMS", 100)
+    assert len(R4.parse("(x + y)^99").terms) == 100
+    assert len(R4.parse("(x + y)^9*(z + w)^9").terms) == 100
+    # 286 products of 10 terms, but only 31 degrees
+    assert len(R4.parse("(x + x^2 + x^3 + x^4)^10").terms) == 31
+    for text in ("(x + y)^100", "(x + y)^9*(z + w)^10"):
+        with pytest.raises(InputError, match="exceeds the limit 100"):
+            R4.parse(text)
+
+
+def test_translate_rejects_huge_expansions_before_expanding(monkeypatch):
+    p = R4.parse("(x*y*z*w)^2500")  # one term, but 2501^4 at (1, 1, 1, 1)
+
+    def no_substitution(self, bindings, target=None):
+        raise AssertionError("expanded")
+
+    monkeypatch.setattr(Polynomial, "substitute", no_substitution)
+    with pytest.raises(InputError, match=f"terms exceeds the limit {MAX_TERMS}"):
+        p.translate(R4.parse_point("1, 1, 1, 1"))
+    assert p.translate(R4.parse_point("0, 0, 0, 0")) is p
 
 
 @pytest.mark.parametrize("text", ["1" * 5000, "1/" + "1" * 5000], ids=["numerator", "denominator"])

@@ -32,3 +32,56 @@ def test_unused_import_scan_sees_annotations_and_attributes():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# every .py under the package, kernel/_pure.py and __init__.py included
+PACKAGE = sorted(Path(segrenum.__file__).parent.rglob("*.py"))
+
+
+def _orphans(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes that nothing in the given
+    sources refers to outside their own definition."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+
+    def referenced(tree, skip) -> set[str]:
+        seen, stack = set(), [tree]
+        while stack:
+            node = stack.pop()
+            if node is skip:
+                continue
+            if isinstance(node, ast.Name):
+                seen.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                seen.add(node.attr)
+            elif isinstance(node, ast.alias):
+                seen.add(node.name)
+            stack.extend(ast.iter_child_nodes(node))
+        return seen
+
+    out = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            if not any(
+                node.name in referenced(other, node if other is tree else None)
+                for other in trees.values()
+            ):
+                out.append(f"{name}: {node.name}")
+    return out
+
+
+def test_orphan_scan_sees_other_modules_and_ignores_self_reference():
+    sources = {
+        "a.py": "def _used():\n    pass\ndef _recursive():\n    return _recursive()\nclass _Lone:\n    pass\n",
+        "b.py": "from .a import _used\n",
+    }
+    assert _orphans(sources) == ["a.py: _recursive", "a.py: _Lone"]
+
+
+def test_every_private_helper_is_referenced():
+    root = Path(segrenum.__file__).parent
+    sources = {str(p.relative_to(root)): p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert _orphans(sources) == []

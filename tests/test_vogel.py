@@ -201,3 +201,104 @@ def test_verify_vogel_condition_membership():
 def test_ci_oracle_any_seed(a, b, seed):
     res = segre_at([f"x^{a}", f"y^{b}"], Ideal(R2, ()), trials=2, seed=seed)
     assert res.values == (0, 0, a * b)
+
+
+class _Scripted:
+    """A random stream that returns the given integers in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def randint(self, lo, hi):
+        return next(self._values)
+
+
+def test_off_zero_is_saturated_once_per_sequence(monkeypatch):
+    X = Ideal(R2, ())
+    f = [R2.parse("x"), R2.parse("y")]
+    calls = []
+    saturate = Ideal.saturate
+
+    def counted(self, other):
+        if self is X:
+            calls.append(other)
+        return saturate(self, other)
+
+    monkeypatch.setattr(Ideal, "saturate", counted)
+    # the first draw h = (x, x) fails at codim 2, the second h = (x, y) is certified
+    seq = random_vogel_sequence(f, X, _Scripted([1, 0, 1, 0, 1, 0, 0, 1]))
+    assert seq.alpha == ((1, 0), (0, 1))
+    assert calls == [Ideal(R2, f)]
+
+
+# -- independent oracles ------------------------------------------------------------
+
+
+def _order(p):
+    return min(sum(e) for e in p.terms)
+
+
+@pytest.mark.parametrize(
+    "ring, f",
+    [(R2, "x^2*y + y^3 + x^5"), (R2, "x^2 - y^3"), (U3, "x1*x2*x3 + x1^4 + x3^5")],
+)
+def test_king_principal_ideal(ring, f):
+    # King: for J = (f) on C^n the Segre numbers at 0 are (0, ord_0 f, 0, ..., 0)
+    res = segre_at([f], Ideal(ring, ()), trials=2)
+    assert res.values == (0, _order(ring.parse(f))) + (0,) * (ring.arity - 1)
+
+
+_LOW_TERMS = [(i, j) for i in range(5) for j in range(5) if 1 <= i + j <= 4]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(_LOW_TERMS), st.integers(-3, 3).filter(bool), min_size=1),
+    st.integers(0, 2**31 - 1),
+)
+def test_king_oracle_any_curve(terms, seed):
+    p = R2.from_terms(terms)
+    res = segre_at([p], Ideal(R2, ()), trials=2, seed=seed)
+    assert res.values == (0, _order(p), 0)
+
+
+def _newton_multiplicity(exps):
+    """e(J) = 2 covol(Newton polyhedron) for an m-primary monomial ideal in two
+    variables: twice the area under the lower convex chain from (0, b) to
+    (a, 0), by the shoelace formula."""
+    a = min(i for i, j in exps if j == 0)
+    b = min(j for i, j in exps if i == 0)
+    hull = []
+    inside = {e for e in exps if e[0] < a and e[1] < b}  # the others are dominated
+    for p in sorted(inside | {(0, b), (a, 0)}):
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0) > 0:
+                break
+            hull.pop()
+        hull.append(p)
+    poly = [(0, 0), *hull]
+    return abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(poly, poly[1:] + poly[:1])))
+
+
+def test_newton_multiplicity_examples():
+    assert _newton_multiplicity([(2, 0), (0, 3)]) == 6
+    assert _newton_multiplicity([(4, 0), (0, 4), (1, 1)]) == 8
+    assert _newton_multiplicity([(3, 0), (0, 3), (1, 1), (4, 4)]) == 6
+    assert _newton_multiplicity([(1, 0), (0, 1), (1, 1)]) == 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=3),
+    st.integers(0, 2**31 - 1),
+)
+def test_teissier_monomial_ideal(a, b, mixed, seed):
+    # Teissier: for an m-primary monomial J on C^2 the Segre numbers at 0
+    # are (0, 0, e(J)) with e(J) = 2 covol(Newton polyhedron)
+    exps = [(a, 0), (0, b), *mixed]
+    gens = [f"x^{i}*y^{j}" for i, j in exps]
+    res = segre_at(gens, Ideal(R2, ()), trials=2, seed=seed)
+    assert res.values == (0, 0, _newton_multiplicity(exps))
