@@ -27,11 +27,12 @@ from .errors import (
 )
 from .groebner import Ideal
 from .localmult import local_dim_mult
-from .ring import AffinePoint, Polynomial, Ring
+from .ring import AffinePoint, Polynomial, Ring, _check_shift
 from .vogel import (
     DEFAULT_BOUND,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    _combos,
     point_part,
     segre_at,
 )
@@ -198,7 +199,9 @@ def _product(ideals, base: Ring, point: AffinePoint | None = None) -> _Product |
     gens = [g.substitute({}, full) for g in moved[0].gens]
     for j, ideal in enumerate(moved[1:], start=1):
         bind = {i: full.var(i) + full.var(n * j + i) for i in range(n)}
-        gens += [g.substitute(bind, full) for g in ideal.gens]
+        for g in ideal.gens:
+            _check_shift(g, bind)
+            gens.append(g.substitute(bind, full))
     eta = [full.var(q) for q in range(n, full.arity)]
     red = linear_reduce(full, gens, aux=eta)
     space = Ideal(red.ring, red.gens)
@@ -261,19 +264,6 @@ def _shears(count: int, rng: random.Random, retries: int):
         yield mat
 
 
-def _apply_shear(mat, eta):
-    if mat is None:
-        return list(eta)
-    out = []
-    for row in mat:
-        form = eta[0].ring.zero()
-        for a, p in zip(row, eta):
-            if a:
-                form = form + p.scale(a)
-        out.append(form)
-    return out
-
-
 def _cut_combo(prod: _Product, seed: int):
     """Iterated diagonal cuts on one product; returns the final Ideal on the
     reduced ring together with the whole trail, or None when the intersection
@@ -283,7 +273,7 @@ def _cut_combo(prod: _Product, seed: int):
     failures = []
     for mat in _shears(len(prod.eta), rng, SHEAR_RETRIES):
         cur, trail, dim = prod.space, prod.trail, prod.dim
-        forms = _apply_shear(mat, prod.eta)
+        forms = list(prod.eta) if mat is None else [_combos(prod.eta, row, cur.ring) for row in mat]
         while forms:
             form, *forms = forms
             if form.is_zero():
@@ -402,7 +392,6 @@ class ExtendedIndex:
 
     by_dim: tuple[int, ...]
     stable: bool = True
-    notes: tuple[str, ...] = ()
 
     @property
     def n_top(self) -> int:
@@ -417,14 +406,70 @@ class ExtendedIndex:
         return tuple(reversed(self.by_dim))
 
 
-def _accumulate(by_dim: dict[int, int], n_part: int, coeff: int, values):
-    for k, ek in enumerate(values):
-        if ek:
-            by_dim[n_part - k] = by_dim.get(n_part - k, 0) + coeff * ek
+@dataclass(frozen=True)
+class PointPartReport:
+    point: int
+    fixed: tuple[tuple[Ideal, int, int], ...]  # (ideal, dimension, multiplicity)
+    notes: tuple[str, ...]
 
 
-def _index_from(by_dim: dict[int, int], top: int, stable: bool) -> ExtendedIndex:
+# A piece is one summand of an index: the Segre data of (f) on X at a point,
+# weighted by coeff and placed from dimension dim down; top is the dimension
+# the piece offers the index, and back(k, ideal) maps a fixed codim-k part to
+# the base ring together with its dimension.
+
+
+def _cycle_pieces(f, cycle: CycleRep, point: AffinePoint | None):
+    """The nonempty parts of a cycle, with (f) restricted to each."""
+    for ideal, c in cycle.parts:
+        n = ideal.krull_dimension()
+        if n >= 0:
+            yield f, ideal, point, c, n, n, lambda k, fid: (fid, fid.krull_dimension())
+
+
+def _product_pieces(cycles, point: AffinePoint | None):
+    """The part products at the point, with the diagonal forms on each."""
+    ring, products = _part_products(cycles, point)
+    back = None if point is None else point.negate()
+    for prod, coeff in products:
+
+        def to_base(k, fid, prod=prod):
+            return _to_base(prod.trail, fid, ring).translate(back), prod.dim - k
+
+        yield prod.eta, prod.space, None, coeff, prod.dim, prod.min_dim, to_base
+
+
+def _index(pieces, trials: int, seed: int, bound: int) -> ExtendedIndex:
+    by_dim: dict[int, int] = {}
+    top = -1
+    stable = True
+    for f, X, point, coeff, dim, piece_top, _ in pieces:
+        top = max(top, piece_top)
+        res = segre_at(f, X, point, trials, seed, bound)
+        stable = stable and res.stable
+        for k, ek in enumerate(res.values):
+            if ek:
+                by_dim[dim - k] = by_dim.get(dim - k, 0) + coeff * ek
     return ExtendedIndex(tuple(by_dim.get(d, 0) for d in range(top + 1)), stable)
+
+
+def _point_part(pieces, trials: int, seed: int, bound: int) -> PointPartReport:
+    mass = 0
+    fixed: list = []
+    notes: list[str] = []
+    for f, X, point, coeff, _, _, back in pieces:
+        pp = point_part(f, X, point, trials, seed, bound)
+        mass += coeff * pp.point
+        notes.extend(pp.notes)
+        for k, fid, m in pp.fixed:
+            ideal, dim = back(k, fid)
+            for i, (other, d, acc) in enumerate(fixed):
+                if d == dim and other == ideal:
+                    fixed[i] = (other, d, acc + coeff * m)
+                    break
+            else:
+                fixed.append((ideal, dim, coeff * m))
+    return PointPartReport(mass, tuple(fixed), tuple(notes))
 
 
 def circ_index(
@@ -437,18 +482,7 @@ def circ_index(
 ) -> ExtendedIndex:
     """Restriction index A o Z at a point: Segre numbers of (f) on each part,
     aggregated by dimension."""
-    by_dim: dict[int, int] = {}
-    top = -1
-    stable = True
-    for ideal, c in cycle.parts:
-        n_part = ideal.krull_dimension()
-        if n_part < 0:
-            continue
-        top = max(top, n_part)
-        res = segre_at(f, ideal, point, trials, seed, bound)
-        stable = stable and res.stable
-        _accumulate(by_dim, n_part, c, res.values)
-    return _index_from(by_dim, top, stable)
+    return _index(_cycle_pieces(f, cycle, point), trials, seed, bound)
 
 
 def tworzewski_index(
@@ -460,31 +494,7 @@ def tworzewski_index(
 ) -> ExtendedIndex:
     """Pointwise Tworzewski product index of two or more cycles at x:
     diagonal Segre numbers on the product, multilinear in the parts."""
-    _, products = _part_products(cycles, point)
-    by_dim: dict[int, int] = {}
-    top = -1
-    stable = True
-    for prod, coeff in products:
-        top = max(top, prod.min_dim)
-        res = segre_at(prod.eta, prod.space, None, trials, seed, bound)
-        stable = stable and res.stable
-        _accumulate(by_dim, prod.dim, coeff, res.values)
-    return _index_from(by_dim, top, stable)
-
-
-@dataclass(frozen=True)
-class PointPartReport:
-    point: int
-    fixed: tuple[tuple[Ideal, int, int], ...]  # (ideal, dimension, multiplicity)
-    notes: tuple[str, ...]
-
-
-def _merge_fixed(acc: list, ideal: Ideal, dim: int, mult: int):
-    for i, (other, d, m) in enumerate(acc):
-        if d == dim and other == ideal:
-            acc[i] = (other, d, m + mult)
-            return
-    acc.append((ideal, dim, mult))
+    return _index(_product_pieces(cycles, point), trials, seed, bound)
 
 
 def tworzewski_point_part(
@@ -496,19 +506,7 @@ def tworzewski_point_part(
 ) -> PointPartReport:
     """Coefficient of {x} in the Tworzewski product, with the positive-
     dimensional fixed components (mapped back to the base ring)."""
-    ring, products = _part_products(cycles, point)
-    mass = 0
-    fixed: list = []
-    notes: list[str] = []
-    back = None if point is None else point.negate()
-    for prod, coeff in products:
-        pp = point_part(prod.eta, prod.space, None, trials, seed, bound)
-        mass += coeff * pp.point
-        notes.extend(pp.notes)
-        for k, ideal, m in pp.fixed:
-            base_ideal = _to_base(prod.trail, ideal, ring).translate(back)
-            _merge_fixed(fixed, base_ideal, prod.dim - k, coeff * m)
-    return PointPartReport(mass, tuple(fixed), tuple(notes))
+    return _point_part(_product_pieces(cycles, point), trials, seed, bound)
 
 
 def restricted_point_part(
@@ -521,19 +519,7 @@ def restricted_point_part(
 ) -> PointPartReport:
     """Point part of A o Z (valid as the product point part when V(A) is
     smooth): per-part Vogel point parts, aggregated."""
-    mass = 0
-    fixed: list = []
-    notes: list[str] = []
-    for ideal, c in cycle.parts:
-        if ideal.krull_dimension() < 0:
-            continue
-        pp = point_part(f, ideal, point, trials, seed, bound)
-        mass += c * pp.point
-        notes.extend(pp.notes)
-        for k, fid, m in pp.fixed:
-            d = fid.krull_dimension()
-            _merge_fixed(fixed, fid, d, c * m)
-    return PointPartReport(mass, tuple(fixed), tuple(notes))
+    return _point_part(_cycle_pieces(f, cycle, point), trials, seed, bound)
 
 
 # -- implicitization ----------------------------------------------------------
@@ -567,13 +553,6 @@ def implicitize(components, param_ring: Ring, target_ring: Ring) -> Ideal:
     ]
     ideal = Ideal(red.ring, red.gens)
     if leftover:
+        # the parameters come first, so what is left is the target ring
         ideal = ideal.eliminate(leftover)
-    if ideal.ring != target_ring:
-        fix = {
-            i: target_ring.var(target_ring._index[nm])
-            for i, nm in enumerate(ideal.ring.names)
-        }
-        ideal = Ideal(
-            target_ring, [g.substitute(fix, target_ring) for g in ideal.gens]
-        )
     return Ideal._of_basis(target_ring, ideal.groebner())

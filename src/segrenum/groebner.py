@@ -492,24 +492,25 @@ def _numerator(gens: frozenset, memo: dict) -> dict:
             if e:
                 counts[i] = counts.get(i, 0) + 1
     pivot = max(sorted(counts), key=lambda i: counts[i])
+    # N(I) = N(I + (x^m)) + t^m N(I : x^m), x^m the least pivot power among
+    # the mixed generators: each branch takes the pivot out of at least one
+    # mixed generator, so the depth grows with the generators, not exponents
+    m = min(g[pivot] for g in mixed if g[pivot])
     n = len(next(iter(gens)))
-    xi = tuple(1 if i == pivot else 0 for i in range(n))
-    plus = _minimalize(gens | {xi})
+    plus = _minimalize(gens | {tuple(m if i == pivot else 0 for i in range(n))})
     quot = _minimalize(
         frozenset(
-            tuple(e - 1 if i == pivot and e else e for i, e in enumerate(g))
+            tuple(max(e - m, 0) if i == pivot else e for i, e in enumerate(g))
             for g in gens
         )
     )
-    a = _numerator(plus, memo)
-    b = _numerator(quot, memo)
-    out = dict(a)
-    for k, c in b.items():
-        v = out.get(k + 1, 0) + c
+    out = dict(_numerator(plus, memo))
+    for k, c in _numerator(quot, memo).items():
+        v = out.get(k + m, 0) + c
         if v:
-            out[k + 1] = v
+            out[k + m] = v
         else:
-            out.pop(k + 1, None)
+            out.pop(k + m, None)
     memo[gens] = out
     return out
 

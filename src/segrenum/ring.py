@@ -340,8 +340,7 @@ class Polynomial:
             for i, c in enumerate(point.coords)
             if c != 0
         }
-        # x^e expands to one term per monomial dividing it in the moved variables
-        _check_terms(sum(math.prod(e[i] + 1 for i in bindings) for e in self.terms))
+        _check_shift(self, bindings)
         return self.substitute(bindings)
 
     # -- text --------------------------------------------------------------
@@ -417,6 +416,12 @@ def _check_terms(terms: int) -> None:
         raise InputError(
             f"an expansion of up to 10^{math.log10(terms):.1f} terms exceeds the limit {MAX_TERMS}"
         )
+
+
+def _check_shift(p: Polynomial, moved) -> None:
+    """Rejects p before the moved variables v -> v + (a new term) expand it:
+    x^e expands to one term per monomial dividing it in those variables."""
+    _check_terms(sum(math.prod(e[i] + 1 for i in moved) for e in p.terms))
 
 
 def _check_size(degree: int, digits: float, terms: int) -> None:

@@ -37,7 +37,6 @@ class VogelSequence:
 
     alpha: tuple[tuple[int, ...], ...]
     elements: tuple[Polynomial, ...]
-    certified: bool
     off: tuple[Ideal, ...] = field(compare=False, repr=False)  # I_0^off..I_n^off
 
 
@@ -118,7 +117,6 @@ def random_vogel_sequence(
     X: Ideal,
     rng: random.Random,
     bound: int = DEFAULT_BOUND,
-    retries: int = CERT_RETRIES,
 ) -> VogelSequence:
     """Draw integer coefficient rows in [-bound, bound] until certified."""
     ring = X.ring
@@ -129,11 +127,11 @@ def random_vogel_sequence(
     nonzero = [p for p in f if not p.is_zero()]
     if not nonzero:
         off = (Ideal(ring, (ring.one(),)),) * (n + 1)  # no point lies off V(0)
-        return VogelSequence(((0,) * len(f),) * n, (ring.zero(),) * n, True, off)
+        return VogelSequence(((0,) * len(f),) * n, (ring.zero(),) * n, off)
     fid = Ideal(ring, nonzero)
     off0 = X.saturate(fid)
     last_bad = None
-    for _ in range(retries):
+    for _ in range(CERT_RETRIES):
         alpha = tuple(
             tuple(rng.randint(-bound, bound) for _ in f) for _ in range(n)
         )
@@ -142,10 +140,10 @@ def random_vogel_sequence(
             continue
         chain, bad = _certify(h, off0, fid, n)
         if bad is None:
-            return VogelSequence(alpha, tuple(h), True, chain)
+            return VogelSequence(alpha, tuple(h), chain)
         last_bad = bad
     raise GenericityError(
-        f"no certified Vogel sequence in {retries} draws (failing codim {last_bad})",
+        f"no certified Vogel sequence in {CERT_RETRIES} draws (failing codim {last_bad})",
         codim=last_bad,
     )
 
@@ -248,7 +246,6 @@ class FixedCodim:
 @dataclass(frozen=True)
 class FixedReport:
     per_codim: tuple[FixedCodim, ...]
-    runs: list = field(compare=False, repr=False, default=None)
 
 
 def _merged_inside(runs, k) -> Ideal | None:
@@ -288,7 +285,7 @@ def fixed_support(f, X, point=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, bo
         d = merged.krull_dimension()
         status = "fixed" if d == expected else "moving"
         entries.append(FixedCodim(k, expected, status, merged.translate(back), d))
-    return FixedReport(tuple(entries), runs)
+    return FixedReport(tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -328,13 +325,7 @@ def point_part(f, X, point=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, bound
             mass += ek
             continue
         merged = _merged_inside(runs, k)
-        if merged is None or merged.is_unit():
-            mass += ek
-            notes.append(
-                f"codim {k}: moving mass {ek} assumed point-supported"
-            )
-            continue
-        ld, m_fix = local_dim_mult(merged)
+        ld, m_fix = (-1, 0) if merged is None else local_dim_mult(merged)
         if ld == expected:
             m_eff = min(m_fix, ek)
             fixed.append((k, merged, m_eff))

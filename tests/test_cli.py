@@ -209,6 +209,25 @@ def test_huge_expansion_is_input_error(gen, argv, tmp_path, capsys):
     assert "terms exceeds the limit" in capsys.readouterr().err
 
 
+def test_huge_product_expansion_is_input_error(tmp_path, capsys):
+    # the second part is expanded under v -> w_v + eta_v on the product space
+    f = tmp_path / "huge.prob"
+    f.write_text("ring x y z w\nideal A: (x*y*z*w)^200\nideal B: x, y, z\n")
+    assert main(["tworzewski", str(f), "--cycles", "B", "A"]) == 2
+    assert "terms exceeds the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "ring, gen, dim",
+    [("x y z w", "x^1500*y", 3), ("x y z w", "(x*y*z*w)^2500", 3), ("x y", "x^1500*y", 1)],
+)
+def test_dimension_of_high_exponents(ring, gen, dim, tmp_path, capsys):
+    f = tmp_path / "high.prob"
+    f.write_text(f"ring {ring}\nideal A: {gen}\n")
+    doc, code = _json_doc(["dim", "--ideal", "A", str(f)], capsys)
+    assert code == 0 and doc["result"]["dim"] == dim
+
+
 @pytest.mark.parametrize("order, code", [("elim:9", 2), ("elim:3", 0)])
 def test_elimination_block_wider_than_ring(order, code, capsys):
     assert main(["gb", "--ideal", "T", "--order", order, TWISTED]) == code

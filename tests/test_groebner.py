@@ -21,7 +21,7 @@ from segrenum import (
     normal_form,
 )
 from segrenum import kernel
-from segrenum.groebner import exact_div, hilbert_of_leads
+from segrenum.groebner import _minimalize, _num_mul, _numerator, exact_div, hilbert_of_leads
 from segrenum.orders import block_order
 
 R2 = Ring(["x", "y"])
@@ -301,6 +301,42 @@ def test_hilbert_of_leads_staircase():
     # N(t) for (x^2, x*y): free monomials 1, x, y, y^2, ... -> 1/(1-t) + t
     hd = hilbert_of_leads([(2, 0), (1, 1)], 2)
     assert hd.dimension == 1 and hd.degree == 1
+
+
+def _unit_pivot_numerator(gens: frozenset) -> dict:
+    """Reference: the Hilbert numerator pivoting on the bare variable, one
+    recursion per unit of exponent."""
+    if any(sum(g) == 0 for g in gens):
+        return {}
+    mixed = [g for g in gens if sum(1 for e in g if e) > 1]
+    if not mixed:
+        out = {0: 1}
+        for g in gens:
+            out = _num_mul(out, {0: 1, sum(g): -1})
+        return out
+    counts = [sum(1 for g in mixed if g[i]) for i in range(len(mixed[0]))]
+    pivot = counts.index(max(counts))
+    xi = tuple(int(i == pivot) for i in range(len(counts)))
+    plus = _minimalize(gens | {xi})
+    quot = _minimalize(
+        frozenset(tuple(e - 1 if i == pivot and e else e for i, e in enumerate(g)) for g in gens)
+    )
+    out = dict(_unit_pivot_numerator(plus))
+    for k, c in _unit_pivot_numerator(quot).items():
+        out[k + 1] = out.get(k + 1, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+_monomial_ideals = st.integers(2, 4).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 5)] * n), min_size=1, max_size=6)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monomial_ideals)
+def test_numerator_matches_unit_pivot_reference(gens):
+    gens = _minimalize(frozenset(gens))
+    assert _numerator(gens, {}) == _unit_pivot_numerator(gens)
 
 
 def test_ideal_sum_and_translate():

@@ -1,6 +1,8 @@
 """Static checks on the package sources."""
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -85,3 +87,35 @@ def test_every_private_helper_is_referenced():
     root = Path(segrenum.__file__).parent
     sources = {str(p.relative_to(root)): p.read_text(encoding="utf-8") for p in PACKAGE}
     assert _orphans(sources) == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _entry_point_calls(text: str) -> list[tuple[str, list[str]]]:
+    """(name, arguments) of each `name(args)` call in the first column of the
+    README's "Main entry points" table."""
+    table = text.split("Main entry points", 1)[1].split("\n\n")[1]
+    calls = []
+    for row in table.splitlines():
+        for name, args in re.findall(r"`(\w+)\(([^)]*)\)", row.split("|")[1]):
+            calls.append((name, [a.strip() for a in args.split(",") if a.strip()]))
+    return calls
+
+
+def test_readme_entry_points_match_the_code():
+    calls = _entry_point_calls(README.read_text(encoding="utf-8"))
+    assert len(calls) > 10
+    bad = []
+    for name, args in calls:
+        if name not in segrenum.__all__:
+            bad.append(f"{name}: not exported")
+            continue
+        sig = inspect.signature(getattr(segrenum, name))
+        # a trailing ... stands for further arguments
+        bind = sig.bind_partial if args[-1:] == ["..."] else sig.bind
+        try:
+            bind(*[a for a in args if a != "..."])
+        except TypeError as exc:
+            bad.append(f"{name}({', '.join(args)}): {exc}")
+    assert bad == []

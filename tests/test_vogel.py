@@ -154,7 +154,6 @@ def test_run_step_bookkeeping():
     steps = runs[0].steps
     assert [s.k for s in steps] == [0, 1, 2, 3]
     assert runs[0].mult_z == tuple(s.z_mult for s in steps)
-    assert runs[0].sequence.certified is True
     # the inside ideal at codim 1 is the fixed plane
     assert runs[0].inside(1) == Ideal(T3, ["t3"])
 
