@@ -43,6 +43,7 @@ from .vogel import (
     fixed_support,
     segre_at,
     polar_at,
+    sharing,
 )
 
 EXIT_CHECK_FAILED = 1
@@ -238,6 +239,13 @@ def _cmd_implicitize(problem, args):
     return _ideal_doc(ideal)
 
 
+def _run_command(problem: Problem, ns):
+    """Run one command; the commands run on one loaded problem share its
+    seeded Vogel trials."""
+    with sharing(problem.runs):
+        return COMMANDS[ns.command](problem, ns)
+
+
 def _run_expectation(problem: Problem, exp, defaults) -> dict | None:
     """Returns a failure entry, or None when the expectation holds."""
     # the path goes right after the command so greedy list flags (--cycles
@@ -250,7 +258,7 @@ def _run_expectation(problem: Problem, exp, defaults) -> dict | None:
         ns = build_parser().parse_args(argv)
         if ns.command in ("check", "corpus"):
             raise InputError(f"{ns.command} cannot be used in expect lines")
-        got = COMMANDS[ns.command](problem, ns)
+        got = _run_command(problem, ns)
     except SegrenumError as exc:
         return {
             "line": exp.line_no,
@@ -452,7 +460,7 @@ def run(argv) -> tuple[dict, str, int]:
         result, code = _cmd_corpus(ns)
     else:
         problem = load_problem(ns.file)
-        result = COMMANDS[ns.command](problem, ns)
+        result = _run_command(problem, ns)
         code = 0
         if ns.command == "check" and result["failures"]:
             code = EXIT_CHECK_FAILED

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .groebner import Ideal
 from .localmult import local_dim_mult
-from .ring import AffinePoint, Polynomial, Ring, _check_shift
+from .ring import AffinePoint, Polynomial, Ring, _check_shift, _check_terms, _power_terms
 from .vogel import (
     DEFAULT_BOUND,
     DEFAULT_SEED,
@@ -160,6 +160,9 @@ def linear_reduce(ring, gens, aux=(), allowed=None, max_degree=1) -> Reduction:
         name = cur_ring.names[i]
         new_ring = Ring(cur_ring.names[:i] + cur_ring.names[i + 1 :])
         repl = rest.scale(Fraction(-1) / c).substitute({}, new_ring)
+        for p in (*cur_gens, *cur_aux):
+            # x_i^k goes to at most _power_terms(repl, k) terms
+            _check_terms(sum(_power_terms(repl, e[i]) for e in p.terms))
         trail.append((name, repl))
         bind = {i: repl}
         cur_gens = [

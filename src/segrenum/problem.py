@@ -60,6 +60,8 @@ class Problem:
     points: dict[str, AffinePoint] = field(default_factory=dict)
     maps: dict[str, MapDef] = field(default_factory=dict)
     expects: list[Expectation] = field(default_factory=list)
+    # Vogel runs shared by the commands run on this problem (vogel.sharing)
+    runs: dict = field(default_factory=dict, repr=False, compare=False)
 
     def ideal(self, name: str) -> Ideal:
         return _named(self.ideals, "ideal", name)

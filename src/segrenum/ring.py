@@ -319,14 +319,19 @@ class Polynomial:
                 cache[key] = image(i) ** k
             return cache[key]
 
-        out = tgt.zero()
+        out: dict = {}  # one running sum, with __add__'s add-or-pop rule
         for exp, c in self.terms.items():
             term = tgt.constant(c)
             for i, k in enumerate(exp):
                 if k:
                     term = term * power(i, k)
-            out = out + term
-        return out
+            for e, v in term.terms.items():
+                s = out.get(e, 0) + v
+                if s:
+                    out[e] = s
+                else:
+                    out.pop(e, None)
+        return Polynomial(tgt, out)
 
     def translate(self, point: AffinePoint | None) -> "Polynomial":
         """p(z + x): move the point x to the origin; no point, or the

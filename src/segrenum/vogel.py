@@ -13,10 +13,16 @@ are the same minimum taken over the off-part vectors.  ``_lex_min`` is the one
 place the reported trial and its stability are chosen.  A sequence is
 certified when, for every k >= 1, I_k^off = (I_X + (h_1..h_k)) : (f)^inf is
 the unit ideal or has dimension exactly n - k; the runs reuse these I_k^off.
+
+Runs are pure functions of (f, X, point, trials, seed, bound): while the CLI
+runs a command on a loaded problem, equal ``run_trials`` calls share runs
+through that problem's memo (``sharing``), which keeps the last
+``MEMO_CALLS`` distinct calls; library calls compute afresh every time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
 from dataclasses import dataclass, field
 
@@ -29,6 +35,13 @@ DEFAULT_SEED = 101
 DEFAULT_TRIALS = 4
 DEFAULT_BOUND = 99
 CERT_RETRIES = 64
+
+_memo: dict | None = None  # the runs shared by run_trials, set only by sharing()
+# Distinct run_trials calls whose runs a memo keeps, the least recent dropped
+# first: a kept entry holds its runs' ideals as long as its problem lives, and
+# the shipped files reuse a trial within one other trial call, but for one
+# tworzewski line of bullet_nonassoc.
+MEMO_CALLS = 2
 
 
 @dataclass(frozen=True)
@@ -197,12 +210,35 @@ def run_trials(
     if bound < 1:
         raise InputError("the coefficient bound must be at least 1")
     ft, Xt = _translated(f, X, point)
+    memo = _memo
+    if memo is not None:
+        # the ring is in the key because the zero ideal has no generators
+        key = (tuple(ft), Xt.ring, Xt.gens, trials, seed, bound)
+        if key in memo:
+            memo[key] = memo.pop(key)  # now the most recent
+            return list(memo[key])
     rng = random.Random(seed)
     runs = []
     for _ in range(trials):
         seq = random_vogel_sequence(ft, Xt, rng, bound)
         runs.append(vogel_run(Xt, seq))
+    if memo is not None:
+        memo[key] = tuple(runs)
+        if len(memo) > MEMO_CALLS:
+            del memo[next(iter(memo))]
     return runs
+
+
+@contextlib.contextmanager
+def sharing(memo: dict):
+    """Inside the block, equal run_trials calls share the runs kept in ``memo``;
+    callers only read runs, so one set can serve them all."""
+    global _memo
+    previous, _memo = _memo, memo
+    try:
+        yield
+    finally:
+        _memo = previous
 
 
 @dataclass(frozen=True)

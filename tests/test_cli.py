@@ -6,8 +6,17 @@ import sys
 
 import pytest
 
-from segrenum import GenericityError, SegrenumError, UnresolvedMovingSupportError
-from segrenum.cli import COMMANDS, corpus_files, corpus_path, main, render, run
+from segrenum import GenericityError, SegrenumError, UnresolvedMovingSupportError, vogel
+from segrenum.cli import (
+    COMMANDS,
+    _run_command,
+    build_parser,
+    corpus_files,
+    corpus_path,
+    main,
+    render,
+    run,
+)
 from segrenum.problem import load_problem
 
 CUSP = corpus_path("cusp.prob")
@@ -209,6 +218,14 @@ def test_huge_expansion_is_input_error(gen, argv, tmp_path, capsys):
     assert "terms exceeds the limit" in capsys.readouterr().err
 
 
+def test_huge_map_substitution_is_input_error(tmp_path, capsys):
+    # implicitizing puts t = z1 - a - b - c into z2 - t^100: C(103, 3) terms
+    f = tmp_path / "huge.prob"
+    f.write_text("ring z1 z2 z3 z4\nmap G: t a b c | t + a + b + c, t^100, a, b\nideal A: map(G)\n")
+    assert main(["dim", "--ideal", "A", str(f)]) == 2
+    assert "terms exceeds the limit" in capsys.readouterr().err
+
+
 def test_huge_product_expansion_is_input_error(tmp_path, capsys):
     # the second part is expanded under v -> w_v + eta_v on the product space
     f = tmp_path / "huge.prob"
@@ -288,6 +305,61 @@ def test_corpus_path_unknown():
     with pytest.raises(InputError):
         corpus_path("no_such_file.prob")
     assert all(p.endswith(".prob") for p in (str(q) for q in corpus_files()))
+
+
+# -- seeded trials shared per loaded problem --------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, count",
+    # one draw per trial of each distinct (f, X, point); run line by line,
+    # the scaled plane draws 20, the umbrella 16 and the threefold 8
+    [("scaled_plane.prob", 4), ("umbrella_m2.prob", 8), ("image_threefold.prob", 4)],
+)
+def test_check_draws_each_trial_once(name, count, draws):
+    drawn, _ = draws
+    assert run(["check", corpus_path(name)])[2] == 0
+    assert drawn[0] == count
+
+
+def test_each_loaded_problem_draws_its_own_trials(draws):
+    ns = build_parser().parse_args(["check", SCALED])
+    counts = []
+    drawn, _ = draws
+    for problem in (load_problem(SCALED), load_problem(SCALED)):
+        drawn[0] = 0
+        assert _run_command(problem, ns)["failures"] == []
+        counts.append(drawn[0])
+    assert counts == [4, 4]
+    assert vogel._memo is None
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["scaled_plane.prob", "umbrella_m1.prob", "umbrella_m2.prob", "umbrella_m3.prob", "bullet_nonassoc.prob"],
+)
+def test_shared_payloads_equal_fresh_runs(name, monkeypatch):
+    path = corpus_path(name)
+    shared = []
+
+    def capturing(fn):
+        def capture(problem, ns):
+            out = fn(problem, ns)
+            shared.append(out)
+            return out
+
+        return capture
+
+    for cmd, fn in list(COMMANDS.items()):
+        monkeypatch.setitem(COMMANDS, cmd, capturing(fn))
+    assert run(["check", path])[2] == 0
+    monkeypatch.undo()
+    expects = load_problem(path).expects
+    assert len(shared) == len(expects) + 1  # each expect line, then check itself
+    for exp, got in zip(expects, shared):
+        doc, _, code = run([exp.argv[0], path, *exp.argv[1:], "--format", "json"])
+        assert code == 0
+        assert render(got, "json") == render(doc["result"], "json"), exp.argv
 
 
 # -- console script ----------------------------------------------------------------

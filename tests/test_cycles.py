@@ -1,8 +1,11 @@
 """Cycles, divisor cuts, proper/extended intersection products, implicitization."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_acceptance import budget
 
 from segrenum import (
     AffinePoint,
@@ -10,6 +13,7 @@ from segrenum import (
     Ideal,
     ImproperIntersectionError,
     InputError,
+    Polynomial,
     Ring,
     circ_index,
     cycle_local_mult,
@@ -279,6 +283,118 @@ def test_point_part_translated_instance():
     )
     assert rep.point == 2
     assert rep.fixed == ((A, 1, 1),)
+
+
+# -- Fulton's algorithm as an oracle ---------------------------------------------------
+
+
+def _fulton(f, g, cap):
+    """I_0(f, g) of plane curves by Fulton's algorithm (Algebraic Curves, 3.3),
+    on {(i, j): Fraction} dicts in x, y.  The local number is finite unless f
+    and g share a component through 0, and at most deg f * deg g (Bezout), so
+    None when the count passes ``cap`` or a shared factor shows."""
+    total = 0
+    while True:
+        if not f or not g:
+            return None
+        if (0, 0) in f or (0, 0) in g:
+            return total
+        fr = {i: c for (i, j), c in f.items() if j == 0}  # f(x, 0)
+        gr = {i: c for (i, j), c in g.items() if j == 0}
+        if not fr and not gr:
+            return None  # y divides both
+        if not gr or (fr and max(fr) > max(gr)):
+            f, g, fr, gr = g, f, gr, fr  # now f(x, 0) = 0 or deg f(x, 0) <= deg g(x, 0)
+        if not fr:
+            # f = y*h: I(f, g) = I(y, g) + I(h, g), and I(y, g) = ord_x g(x, 0)
+            total += min(gr)
+            if total > cap:
+                return None
+            f = {(i, j - 1): c for (i, j), c in f.items()}
+            continue
+        # I(f, g) = I(f, lc(f0)*g - lc(g0)*x^(s-r)*f), whose g(x, 0) has lower degree
+        r, s = max(fr), max(gr)
+        out = {e: c * fr[r] for e, c in g.items()}
+        for (i, j), c in f.items():
+            e = (i + s - r, j)
+            v = out.get(e, 0) - gr[s] * c
+            if v:
+                out[e] = v
+            else:
+                out.pop(e, None)
+        g = out
+
+
+def test_fulton_oracle_examples():
+    x, y = {(1, 0): Fraction(1)}, {(0, 1): Fraction(1)}
+    cusp = {(2, 0): Fraction(1), (0, 3): Fraction(-1)}  # x^2 - y^3
+    assert _fulton(x, y, 1) == 1
+    assert _fulton(cusp, y, 6) == 2
+    assert _fulton(cusp, x, 3) == 3
+    assert _fulton({(1, 1): Fraction(1)}, x, 2) is None  # x*y and x share x
+
+
+_PLANE_TERMS = [(i, j) for i in range(4) for j in range(4) if 1 <= i + j <= 3]
+_plane_curve = st.dictionaries(
+    st.sampled_from(_PLANE_TERMS),
+    st.sampled_from([-3, -2, -1, 1, 2, 3]).map(Fraction),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_plane_curve, _plane_curve)
+def test_plane_curve_index_matches_fulton(f, g):
+    def deg(p):
+        return max(i + j for i, j in p)
+
+    want = _fulton(f, g, deg(f) * deg(g))
+    assume(want is not None)  # a common component through 0
+    origin = AffinePoint(R2, (0, 0))
+    cycles = [CycleRep.from_ideal(Ideal(R2, [R2.from_terms(p)])) for p in (f, g)]
+    assert tworzewski_index(cycles, point=origin, trials=2).total == want
+    try:
+        mult = proper_intersect(cycles, point=origin).mult
+    except ImproperIntersectionError:
+        # proper means proper everywhere: f and g share a component away from 0
+        assert Ideal(R2, [R2.from_terms(f), R2.from_terms(g)]).krull_dimension() == 1
+    else:
+        assert mult == want
+
+
+# -- linear reduction ------------------------------------------------------------------
+
+
+def _power_map(k):
+    """The map (t, a, b, c) -> (t + a + b + c, t^k, a, b) as linear_reduce sees it."""
+    ring = Ring(["t", "a", "b", "c", "z1", "z2", "z3", "z4"])
+    gens = [ring.parse(g) for g in ("z1 - t - a - b - c", f"z2 - t^{k}", "z3 - a", "z4 - b")]
+    return ring, gens
+
+
+def test_linear_reduce_expands_a_power_within_budget():
+    # t = z1 - a - b - c turns z2 - t^20 into C(23, 3) + 1 = 1772 terms
+    ring, gens = _power_map(20)
+    with budget(5):
+        red = cycles.linear_reduce(ring, gens, allowed={0, 1, 2, 3}, max_degree=None)
+    assert red.ring.names == ("c", "z1", "z2", "z3", "z4")
+    assert [len(g.terms) for g in red.gens] == [1772]
+
+
+def test_linear_reduce_rejects_a_huge_substitution(monkeypatch):
+    # t^100 would expand to C(103, 3) = 176851 terms, over ring.MAX_TERMS
+    ring, gens = _power_map(100)
+
+    real_pow = Polynomial.__pow__
+
+    def small_power(self, k):
+        assert k < 100, "the substitution was expanded"
+        return real_pow(self, k)
+
+    monkeypatch.setattr(Polynomial, "__pow__", small_power)
+    with pytest.raises(InputError, match="exceeds the limit"):
+        cycles.linear_reduce(ring, gens, allowed={0, 1, 2, 3}, max_degree=None)
 
 
 # -- implicitization -----------------------------------------------------------------

@@ -329,3 +329,35 @@ def test_translate_round_trip(p, coords):
 def test_pow_matches_repeated_product(p, q):
     assert (p * p * p) == p**3
     assert (p * q) ** 2 == p * p * q * q
+
+
+def _substitute_by_sums(p, bindings, target):
+    """Reference substitution: the term images added one at a time."""
+    out = target.zero()
+    for exp, c in p.terms.items():
+        term = target.constant(c)
+        for i, k in enumerate(exp):
+            if k:
+                image = bindings[i] if i in bindings else target.var(target._index[p.ring.names[i]])
+                term = term * image**k
+        out = out + term
+    return out
+
+
+# small integer images, so that term images often cancel
+_images = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+    st.integers(-2, 2).filter(bool),
+    min_size=1,
+    max_size=4,
+).map(R3.from_terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_polys(), _images, st.one_of(st.none(), _images))
+def test_substitute_matches_the_sum_of_term_images(p, a, b):
+    bindings = {0: a} if b is None else {0: a, 1: b}
+    got = p.substitute(bindings, R3)
+    want = _substitute_by_sums(p, bindings, R3)
+    assert got == want
+    assert list(got.terms) == list(want.terms)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from segrenum import (
     AffinePoint,
+    GenericityError,
     Ideal,
     InputError,
     Ring,
@@ -20,6 +21,7 @@ from segrenum import (
     verify_vogel_condition,
     vogel_run,
 )
+from segrenum import vogel
 
 T3 = Ring(["t1", "t2", "t3"])
 R2 = Ring(["x", "y"])
@@ -228,6 +230,62 @@ def test_off_zero_is_saturated_once_per_sequence(monkeypatch):
     seq = random_vogel_sequence(f, X, _Scripted([1, 0, 1, 0, 1, 0, 0, 1]))
     assert seq.alpha == ((1, 0), (0, 1))
     assert calls == [Ideal(R2, f)]
+
+
+# -- runs shared inside vogel.sharing ------------------------------------------------
+
+
+def test_library_calls_draw_every_time(draws):
+    count, _ = draws
+    for _ in range(2):
+        assert segre_at(SCALED_PLANE, Ideal(T3, ()), trials=2).values == (0, 1, 1, 2)
+    assert count[0] == 4
+
+
+def test_shared_runs_come_in_fresh_lists(draws):
+    count, _ = draws
+    memo = {}
+    with vogel.sharing(memo):
+        runs = run_trials(SCALED_PLANE, Ideal(T3, ()), trials=2)
+        kept = list(runs)
+        runs.clear()
+        again = run_trials(SCALED_PLANE, Ideal(T3, ()), trials=2)
+    assert again == kept and again is not runs  # the same runs, a new list
+    assert list(memo.values()) == [tuple(kept)] and count[0] == 2
+    assert vogel._memo is None
+
+
+def test_shared_runs_are_keyed_on_every_argument(draws):
+    count, _ = draws
+    X = Ideal(T3, ())
+    base = (SCALED_PLANE, X, None, 2, 101)
+    variants = [
+        (SCALED_PLANE, X, AffinePoint(T3, (0, 0, 1)), 2, 101),
+        (SCALED_PLANE, Ideal(T3, ["t1 - t2"]), None, 2, 101),
+        (SCALED_PLANE, X, None, 2, 5),
+        (SCALED_PLANE, X, None, 1, 101),
+    ]
+    memo = {}
+    with vogel.sharing(memo):
+        for variant in variants:
+            run_trials(*base)  # drawn once, then shared
+            run_trials(*variant)
+        assert count[0] == 2 + 2 + 2 + 2 + 1
+        assert len(memo) == vogel.MEMO_CALLS
+        run_trials(*variants[0])  # dropped as the least recent
+    assert count[0] == 9 + 2
+
+
+def test_a_failed_run_is_not_shared(draws):
+    count, fail = draws
+    fail[0] = 1
+    memo = {}
+    with vogel.sharing(memo):
+        with pytest.raises(GenericityError):
+            run_trials(SCALED_PLANE, Ideal(T3, ()), trials=2)
+        assert memo == {}
+        runs = run_trials(SCALED_PLANE, Ideal(T3, ()), trials=2)
+    assert count[0] == 3 and len(runs) == 2 and len(memo) == 1
 
 
 # -- independent oracles ------------------------------------------------------------
