@@ -12,6 +12,9 @@ Buchberger's normal form keeps the rows tail-reduced as the basis grows
 that its lead divides, so later reductions stop dragging those tails
 through big-integer rescaling.  Leads are never changed, so each basis
 element keeps the lead it was found with.
+A completion may start from a reduced basis whose pairs count as done
+(Gebauer and Moeller 1988, incremental update): ``I + (h)`` from I's cached
+basis, and I : g^inf from I's grevlex basis, already reduced in block(1).
 All reductions run fraction-free over int through the kernel backends, with
 content removed as coefficients grow.
 Reduced bases are monic and sorted by decreasing lead, so equal ideals have
@@ -23,6 +26,7 @@ the Hilbert series of the grevlex lead ideal, computed once per ideal.
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -75,7 +79,7 @@ def _lift(p: Polynomial, ext: Ring) -> Polynomial:
     return Polynomial(ext, {(0,) + e: c for e, c in p.terms.items()})
 
 
-def _complete(G: list[dict], order: MonomialOrder, nf, row) -> list:
+def _complete(G: list[dict], order: MonomialOrder, nf, row, seeded: int = 0) -> list:
     """The S-pair loop shared by Buchberger and Mora.
 
     G holds primitive int term dicts; row(z) is an element's reducer row
@@ -88,13 +92,16 @@ def _complete(G: list[dict], order: MonomialOrder, nf, row) -> list:
     leads never change, so the key stays valid.  A pair is skipped when its
     leads are coprime or by the chain criterion: another lead divides their
     lcm and both pairs joining it to the two have already been popped.
+    The first ``seeded`` elements of G must form a reduced basis: their pairs
+    start in ``done``, never pushed.  Each has a representation below its lcm
+    on that basis, which tail rewrites keep, so the chain criterion holds.
     Returns the rows of G and of every new element, in the order found.
     """
     K = kernel.get()
     code, block = order.code, order.block
     rows = [row(z) for z in G]
     pairs: list = []
-    done = set()
+    done = {(i, t) for t in range(seeded) for i in range(t)}
 
     def push(t):
         lt = rows[t][0]
@@ -109,7 +116,7 @@ def _complete(G: list[dict], order: MonomialOrder, nf, row) -> list:
                 return True
         return False
 
-    for t in range(len(rows)):
+    for t in range(seeded, len(rows)):
         push(t)
     while pairs:
         _, i, j = heapq.heappop(pairs)
@@ -130,13 +137,15 @@ def _complete(G: list[dict], order: MonomialOrder, nf, row) -> list:
     return rows
 
 
-def _reduced_groebner(zgens: list[dict], order: MonomialOrder) -> list[tuple]:
+def _reduced_groebner(zgens: list[dict], order: MonomialOrder, prefix=()) -> list[tuple]:
     """Reduced Groebner basis as (lead exp, primitive int term dict) pairs,
-    sorted by decreasing lead."""
+    sorted by decreasing lead.  prefix, a reduced basis under order as
+    primitive int term dicts, heads the rows as ``_complete``'s seeded ones."""
     K = kernel.get()
     code, block = order.code, order.block
     G = [K.make_primitive(dict(z)) for z in zgens if z]
     G.sort(key=lambda z: _det_key(z, order))
+    G[:0] = prefix
 
     def row(z):
         le = K.lead_exp(z, code, block)
@@ -161,7 +170,7 @@ def _reduced_groebner(zgens: list[dict], order: MonomialOrder) -> list[tuple]:
                     rows[k] = (le, w[le], w)
         return r
 
-    basis = _complete(G, order, nf, row)
+    basis = _complete(G, order, nf, row, len(prefix))
 
     # minimalize: keep only elements whose lead no other kept lead divides
     idx = sorted(range(len(basis)), key=lambda i: order.key(basis[i][0]))
@@ -209,29 +218,40 @@ def normal_form(p: Polynomial, gens, order: MonomialOrder = GREVLEX) -> Polynomi
 
 
 def exact_div(p: Polynomial, g: Polynomial) -> Polynomial:
-    """p / g when g divides p exactly; InputError otherwise."""
+    """p / g when g divides p exactly; InputError otherwise.  The remainder
+    is one dict whose grevlex leads come off a heap, never to come back."""
     if g.is_zero():
         raise InputError("division by the zero polynomial")
-    key = GREVLEX.key
-    glead = max(g.terms, key=key)
+    glead = max(g.terms, key=GREVLEX.key)
     gc = g.terms[glead]
-    rem = p
+    tail = [(e, c / gc) for e, c in g.terms.items() if e != glead]
+    rem = dict(p.terms)
+    heap = [(-sum(e), e[::-1]) for e in rem]  # smallest entry = grevlex lead
+    heapq.heapify(heap)
     q: dict = {}
-    while rem.terms:
-        e = max(rem.terms, key=key)
+    while heap:
+        e = heapq.heappop(heap)[1][::-1]
+        c = rem.pop(e)
+        if not c:
+            continue
         de = tuple(a - b for a, b in zip(e, glead))
         if any(x < 0 for x in de):
             raise InputError("inexact polynomial division")
-        c = rem.terms[e] / gc
-        q[de] = c
-        rem = rem - Polynomial(p.ring, {de: c}) * g
+        q[de] = c / gc
+        for te, tc in tail:
+            m = tuple(a + b for a, b in zip(de, te))
+            if m not in rem:
+                rem[m] = 0
+                heapq.heappush(heap, (-sum(m), m[::-1]))
+            rem[m] -= c * tc
     return Polynomial(p.ring, q)
 
 
 class Ideal:
-    """A finitely generated ideal with cached reduced Groebner bases."""
+    """A finitely generated ideal with cached reduced Groebner bases.  A sum
+    I + (h) seeds its bases from I's while I lives (``_base``, a weakref)."""
 
-    __slots__ = ("ring", "gens", "_gb", "_hilbert")
+    __slots__ = ("ring", "gens", "_gb", "_hilbert", "_base", "__weakref__")
 
     def __init__(self, ring: Ring, gens):
         gens = tuple(g if isinstance(g, Polynomial) else ring.parse(g) for g in gens)
@@ -242,13 +262,14 @@ class Ideal:
         self.gens = tuple(g for g in gens if not g.is_zero())
         self._gb: dict = {}
         self._hilbert = None
+        self._base = None
 
     @classmethod
-    def _of_basis(cls, ring: Ring, basis) -> "Ideal":
-        """The ideal generated by basis, which is already its reduced
-        grevlex basis (monic, sorted by decreasing lead), cached as such."""
+    def _of_basis(cls, ring: Ring, basis, order: MonomialOrder = GREVLEX) -> "Ideal":
+        """The ideal generated by basis, which is already its reduced basis
+        under order (monic, sorted by decreasing lead), cached as such."""
         out = cls(ring, basis)
-        out._gb[GREVLEX] = out.gens
+        out._gb[order] = out.gens
         return out
 
     def __repr__(self):
@@ -263,7 +284,10 @@ class Ideal:
             if order.block > self.ring.arity:
                 n = self.ring.arity
                 raise InputError(f"{order} eliminates {order.block} of {n} variables")
-            gb = _reduced_groebner([_zpoly(g) for g in self.gens], order)
+            base = self._base and self._base()
+            prefix = base._gb.get(order, ()) if base else ()
+            gens = self.gens[len(base.gens) :] if prefix else self.gens
+            gb = _reduced_groebner([_zpoly(g) for g in gens], order, [_zpoly(g) for g in prefix])
             self._gb[order] = tuple(
                 _from_int_terms(self.ring, z, Fraction(1, z[le])) for le, z in gb
             )
@@ -324,8 +348,10 @@ class Ideal:
         if isinstance(other, Ideal):
             if other.ring != self.ring:
                 raise InputError("ideals from different rings")
-            return Ideal(self.ring, self.gens + other.gens)
-        return Ideal(self.ring, self.gens + tuple(other))
+            other = other.gens
+        out = Ideal(self.ring, self.gens + tuple(other))
+        out._base = weakref.ref(self)
+        return out
 
     def translate(self, point: AffinePoint | None) -> "Ideal":
         """Generators composed with z -> z + x, moving x to the origin.
@@ -339,11 +365,15 @@ class Ideal:
         return Ideal(self.ring, tuple(g.translate(point) for g in self.gens))
 
     def intersect(self, other: "Ideal") -> "Ideal":
-        """I cap K = (t*I + (1-t)*K) cap k[x]: one elimination of a fresh t."""
+        """I cap K: the smaller ideal itself when one contains the other (read
+        off the cached grevlex bases, as on equal saturations), otherwise
+        (t*I + (1-t)*K) cap k[x], one elimination of a fresh t."""
         if other.ring != self.ring:
             raise InputError("ideals from different rings")
-        if self.is_zero() or other.is_zero():
-            return Ideal(self.ring, ())
+        if self.contains_ideal(other):
+            return other
+        if other.contains_ideal(self):
+            return self
         ext = _front_ring(self.ring)
         t = ext.var(0)
         one_t = ext.one() - t
@@ -361,14 +391,15 @@ class Ideal:
         return Ideal(self.ring, tuple(exact_div(h, g) for h in meet.gens))
 
     def saturate_poly(self, g: Polynomial) -> "Ideal":
-        """I : g^inf = (I + (1 - t*g)) cap k[x]: one elimination of a fresh t."""
+        """I : g^inf = (I + (1 - t*g)) cap k[x]: one elimination of a fresh t,
+        seeded with I's grevlex basis, which block(1) orders alike since no
+        term has t."""
         self._check_ring(g)
         if g.is_zero():
             raise InputError("saturation by the zero polynomial")
         ext = _front_ring(self.ring)
-        gens = [_lift(p, ext) for p in self.gens]
-        gens.append(ext.one() - ext.var(0) * _lift(g, ext))
-        return Ideal(ext, gens).eliminate([0])
+        base = Ideal._of_basis(ext, [_lift(p, ext) for p in self.groebner()], block_order(1))
+        return (base + (ext.one() - ext.var(0) * _lift(g, ext),)).eliminate([0])
 
     def saturate(self, other: "Ideal") -> "Ideal":
         """I : J^inf as the intersection of the per-generator saturations."""
@@ -400,14 +431,17 @@ class Ideal:
             if not 0 <= i < self.ring.arity:
                 raise InputError(f"no variable with index {i}")
         keep = [i for i in range(self.ring.arity) if i not in drop]
-        perm = drop + keep  # position p of the permuted ring holds old var perm[p]
-        permuted = Ring(tuple(self.ring.names[i] for i in perm))
-        gens = [
-            Polynomial(permuted, {tuple(e[i] for i in perm): c for e, c in g.terms.items()})
-            for g in self.gens
-        ]
         nd = len(drop)
-        gb = Ideal(permuted, gens).groebner(block_order(nd))
+        front = self
+        if drop != list(range(nd)):
+            perm = drop + keep  # position p of the permuted ring holds old var perm[p]
+            permuted = Ring(tuple(self.ring.names[i] for i in perm))
+            gens = [
+                Polynomial(permuted, {tuple(e[i] for i in perm): c for e, c in g.terms.items()})
+                for g in self.gens
+            ]
+            front = Ideal(permuted, gens)
+        gb = front.groebner(block_order(nd))
         target = Ring(tuple(self.ring.names[i] for i in keep))
         kept = []
         for g in gb:

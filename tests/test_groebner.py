@@ -514,3 +514,180 @@ def test_intersection_contains_product_and_members(f, g):
             assert meet.contains(p * q)
     for p in meet.gens:
         assert I.contains(p) and J.contains(p)
+
+
+# -- exact division and the quotient ----------------------------------------------
+
+def test_exact_div_of_a_long_power_is_fast():
+    # each step used to copy the whole remainder: 14 s for these 3060 terms
+    g = R4.parse("w + x + y + z + 1")
+    p = g**14
+    with budget(2):
+        assert exact_div(p, g) == g**13
+
+
+@settings(max_examples=40, deadline=None)
+@given(_poly2, _poly2)
+def test_exact_div_inverts_multiplication(p, g):
+    assert exact_div(p * g, g) == p
+    if g.total_degree() > 0:  # g would divide 1
+        with pytest.raises(InputError):
+            exact_div(p * g + R2.one(), g)
+
+
+def _front(ring):
+    """ring with a fresh first variable u, and the lift of ring into it."""
+    ext = ring.extend(["_u"], front=True)
+    return ext, lambda p: ext.from_terms({(0,) + e: c for e, c in p.terms.items()})
+
+
+def _intersect_reference(I, J):
+    """I cap J by the t-trick, read off a block(1) basis by hand."""
+    ext, lift = _front(I.ring)
+    t = ext.var(0)
+    gens = [t * lift(p) for p in I.gens] + [(ext.one() - t) * lift(q) for q in J.gens]
+    kept = [g for g in Ideal(ext, gens).groebner(block_order(1)) if not any(e[0] for e in g.terms)]
+    return Ideal(I.ring, [I.ring.from_terms({e[1:]: c for e, c in g.terms.items()}) for g in kept])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_poly2, min_size=1, max_size=2), _poly2)
+def test_quotient_is_unit_on_members_and_matches_the_meet(gens, g):
+    I = Ideal(R2, gens)
+    if I.contains(g):
+        assert I.quotient(g).is_unit()
+    meet = _intersect_reference(I, Ideal(R2, [g]))
+    assert I.quotient(g) == Ideal(R2, [exact_div(h, g) for h in meet.gens])
+    assert I.quotient(gens[0] * g).is_unit()
+
+
+# -- seeded completion ------------------------------------------------------------
+
+_RINGS = {n: Ring(["x", "y", "z", "w"][:n]) for n in (2, 3, 4)}
+
+
+@st.composite
+def _seeded_case(draw):
+    ring = _RINGS[draw(st.integers(2, 4))]
+    exps = st.tuples(*[st.integers(0, 2)] * ring.arity).filter(lambda e: sum(e) <= 3)
+    poly = st.dictionaries(exps, _coeff, min_size=1, max_size=3).map(ring.from_terms)
+    gens = draw(st.lists(poly, min_size=1, max_size=3))
+    extra = draw(st.lists(poly, min_size=1, max_size=2))
+    order = draw(st.sampled_from([GREVLEX, LEX, block_order(1)]))
+    return ring, gens, extra, order
+
+
+@settings(max_examples=40, deadline=None)
+@given(_seeded_case())
+def test_sum_seeded_from_a_cached_basis_equals_a_fresh_one(case):
+    ring, gens, extra, order = case
+    I = Ideal(ring, gens)
+    I.groebner(order)
+    S = I + extra
+    assert S._base() is I
+    assert S.groebner(order) == Ideal(ring, gens + extra).groebner(order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_seeded_case())
+def test_seeded_saturation_equals_an_unseeded_one(case):
+    ring, gens, extra, _ = case
+    I = Ideal(ring, gens)
+    I.groebner()
+    g = extra[0]
+    out = I.saturate_poly(g)
+    assert out == Ideal(ring, gens).saturate_poly(g)
+    # the elimination from the generators alone, with no seeded rows
+    ext, lift = _front(ring)
+    rab = Ideal(ext, [lift(p) for p in gens] + [ext.one() - ext.var(0) * lift(g)])
+    assert out == rab.eliminate([0])
+
+
+def test_seed_slot_keeps_no_ideal_alive():
+    I = Ideal(R3, ["x^2 - y"])
+    S = I + (R3.parse("z"),)
+    assert S._base() is I
+    del I
+    assert S._base() is None
+    assert S.groebner() == (R3.parse("x^2 - y"), R3.parse("z"))
+
+
+def test_seeded_rows_form_no_s_pair_among_themselves(monkeypatch):
+    K = kernel.get()
+    real, formed = K.spoly, []
+
+    def counted(*args):
+        formed.append((args[1], args[4]))
+        return real(*args)
+
+    monkeypatch.setattr(K, "spoly", counted)
+    T = Ideal(R3, ["y - x^2", "z - x^3"])
+    basis = T.groebner()  # x^2 - y, x*y - z, y^2 - x*z
+    leads = set(T.leading_exponents())
+    h = R3.parse("x*z - 1")
+    formed.clear()
+    seeded = (T + (h,)).groebner()
+    assert len(formed) == 6
+    assert not [p for p in formed if set(p) <= leads]
+    # the same rows unseeded: two of the eight S-pairs join basis rows
+    formed.clear()
+    assert Ideal(R3, basis + (h,)).groebner() == seeded
+    assert len(formed) == 8
+    assert len([p for p in formed if set(p) <= leads]) == 2
+
+
+# -- the intersect shortcut -------------------------------------------------------
+
+
+def test_nested_intersections_eliminate_nothing(monkeypatch):
+    def fail(self, var_indices):
+        raise AssertionError("intersect eliminated")
+
+    J, K = Ideal(R3, ["x - y", "z^2"]), Ideal(R3, ["x*y", "y^2 + z"])
+    JK = Ideal(R3, [p * q for p in J.gens for q in K.gens])
+    monkeypatch.setattr(Ideal, "eliminate", fail)
+    assert JK.intersect(K) is JK
+    assert K.intersect(JK) is JK
+    assert K.intersect(K) is K
+    zero = Ideal(R3, ())
+    assert K.intersect(zero) is zero and zero.intersect(K) is zero
+
+
+@st.composite
+def _meet_case(draw):
+    I = Ideal(R2, draw(st.lists(_poly2, min_size=1, max_size=2)))
+    J = Ideal(R2, draw(st.lists(_poly2, min_size=1, max_size=2)))
+    kind = draw(st.sampled_from(["any", "sum", "product", "same"]))
+    if kind == "sum":
+        J = I + J
+    elif kind == "product":
+        J = Ideal(R2, [p * q for p in I.gens for q in J.gens])
+    elif kind == "same":
+        J = Ideal(R2, I.gens)
+    return (I, J) if draw(st.booleans()) else (J, I)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_meet_case())
+def test_intersect_matches_the_t_trick(pair):
+    I, J = pair
+    assert I.intersect(J) == _intersect_reference(I, J)
+
+
+def test_a_corpus_chain_step_still_intersects(monkeypatch):
+    # one certification step of the scaled plane (scaled_plane.prob): every
+    # generator of f gives the same saturation, and they are still met
+    T3 = Ring(["t1", "t2", "t3"])
+    fid = Ideal(T3, ["t3*t1", "t3*t2", "t3^2"])
+    off0 = Ideal(T3, ()).saturate(fid)
+    h = T3.parse("2*t3*t1 - 3*t3*t2 + 5*t3^2")
+    real, calls = Ideal.intersect, []
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Ideal, "intersect", counted)
+    off1 = (off0 + (h,)).saturate(fid)
+    assert off1 == Ideal(T3, ["2*t1 - 3*t2 + 5*t3"])
+    assert len(calls) == 2

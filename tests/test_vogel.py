@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segrenum import (
@@ -359,3 +359,46 @@ def test_teissier_monomial_ideal(a, b, mixed, seed):
     gens = [f"x^{i}*y^{j}" for i, j in exps]
     res = segre_at(gens, Ideal(R2, ()), trials=2, seed=seed)
     assert res.values == (0, 0, _newton_multiplicity(exps))
+
+
+def _newton_multiplicity3(exps):
+    """e(J) = 3! covol(Newton polyhedron) for an m-primary monomial ideal in
+    three variables: the box under the pure powers less the part of the
+    polyhedron inside it, the hull of every exponent in the box pushed up to
+    the box faces in each subset of coordinates."""
+    spatial = pytest.importorskip("scipy.spatial")
+    top = [min(e[i] for e in exps if e[i] and not any(e[:i] + e[i + 1 :])) for i in range(3)]
+    inside = [e for e in exps if all(x < t for x, t in zip(e, top))]  # the others are dominated
+    corners = [tuple(t if i in s else 0 for i, t in enumerate(top)) for s in ({0}, {1}, {2})]
+    points = {
+        tuple(t if mask >> i & 1 else x for i, (x, t) in enumerate(zip(e, top)))
+        for e in inside + corners
+        for mask in range(8)
+    }
+    covol = top[0] * top[1] * top[2] - spatial.ConvexHull(sorted(points)).volume
+    assert abs(6 * covol - round(6 * covol)) < 1e-6
+    return round(6 * covol)
+
+
+def test_newton_multiplicity3_examples():
+    assert _newton_multiplicity3([(2, 0, 0), (0, 3, 0), (0, 0, 4)]) == 24
+    assert _newton_multiplicity3([(2, 0, 0), (0, 3, 0), (0, 0, 4), (1, 1, 1)]) == 24
+    assert _newton_multiplicity3([(3, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)]) == 10
+    assert _newton_multiplicity3([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), max_size=2),
+    st.integers(0, 2**31 - 1),
+)
+@example((2, 3, 4), [(1, 1, 1)], 1)
+@example((3, 2, 2), [(1, 1, 0)], 1)
+def test_teissier_monomial_ideal_in_three_variables(powers, mixed, seed):
+    # Teissier on C^3: Segre numbers (0, 0, 0, e(J)), e(J) = 3! covol
+    exps = [tuple(p if i == k else 0 for i in range(3)) for k, p in enumerate(powers)] + mixed
+    exps = [e for e in exps if any(e)]
+    gens = ["*".join(f"{v}^{k}" for v, k in zip("xyz", e)) for e in exps]
+    res = segre_at(gens, Ideal(Ring(["x", "y", "z"]), ()), trials=2, seed=seed)
+    assert res.values == (0, 0, 0, _newton_multiplicity3(exps))
