@@ -1,20 +1,28 @@
 """Groebner bases and ideal arithmetic over Q.
 
-Buchberger with the normal selection strategy (smallest S-pair lcm first,
-ties broken by pair index) and both classical pair criteria (coprime leads,
-chain); pending pairs sit in a heap keyed once, when pushed, so every run
-reduces the same S-polynomials in the same order and produces the same
-intermediate bases.  The pair loop and both criteria live in one engine,
-``_complete``, shared with Mora's local standard bases (``localmult``),
-which differ only in the normal form and the reducer rows they pass in.
-Buchberger's normal form keeps the rows tail-reduced as the basis grows
-(Buchberger 1985): each new element rewrites the tails of the earlier rows
-that its lead divides, so later reductions stop dragging those tails
-through big-integer rescaling.  Leads are never changed, so each basis
-element keeps the lead it was found with.
-A completion may start from a reduced basis whose pairs count as done
-(Gebauer and Moeller 1988, incremental update): ``I + (h)`` from I's cached
-basis, and I : g^inf from I's grevlex basis, already reduced in block(1).
+Generators are added one at a time to a reduced basis, the F5C shape
+(Eder and Perry 2010): the basis starts as the seeded prefix, possibly
+empty, and after each generator it is interreduced (minimal, tail-reduced)
+before the next is added.  Each step is a signature-based completion
+(Faugere 2002; Eder and Faugere 2017, the RB algorithm): an element of the
+step carries a signature, the monomial m with which m*f, f the generator
+being added, heads its representation, compared under the target order;
+the basis rows sit below every signature.  Pairs are taken in increasing
+signature, at most one per signature, and a pair whose two sides have equal
+signatures is never formed.  Three criteria drop a signature: it is
+divisible by a basis lead (Koszul), by the signature of a principal syzygy
+of two new elements, or by that of an earlier reduction to zero; and a pair
+is dropped when its larger side is not the rewriter of its signature under
+the ratio rewrite order.  Reduction is regular: a row may cancel the lead E
+of an element of signature sigma only when its multiple x^(E - lead) sits
+below sigma in signature.  When each generator is a nonzerodivisor modulo
+the basis it is added to, as for generic dense systems, a Koszul signature
+divides every syzygy signature and no S-polynomial reduces to zero (Faugere
+2002).  The output is the reduced basis, unique for the ideal and
+the order, so it is the one any correct completion gives.
+A sum ``I + (h)`` starts from I's cached basis, and I : g^inf from I's
+grevlex basis, already reduced in block(1).  Mora's local standard bases
+(``localmult``) keep their own Buchberger pair loop.
 All reductions run fraction-free over int through the kernel backends, with
 content removed as coefficients grow.
 Reduced bases are monic and sorted by decreasing lead, so equal ideals have
@@ -79,117 +87,139 @@ def _lift(p: Polynomial, ext: Ring) -> Polynomial:
     return Polynomial(ext, {(0,) + e: c for e, c in p.terms.items()})
 
 
-def _complete(G: list[dict], order: MonomialOrder, nf, row, seeded: int = 0) -> list:
-    """The S-pair loop shared by Buchberger and Mora.
+def _interreduce(rows: list, order: MonomialOrder) -> list:
+    """The reduced basis of the ideal that rows (lead, lead coeff, primitive
+    int term dict), a Groebner basis under order, generate: drop every row
+    whose lead another kept lead divides, then tail-reduce each kept row
+    against the others, which keeps its lead.  Sorted by decreasing lead."""
+    K = kernel.get()
+    kept = []
+    for r in sorted(rows, key=lambda r: order.key(r[0])):
+        if not any(K.exp_div(r[0], k[0]) for k in kept):
+            kept.append(r)
+    out = []
+    for i, (le, lc, z) in enumerate(kept):
+        others = kept[:i] + kept[i + 1 :]
+        if others:
+            z = K.make_primitive(dict(K.reduce_full(z, others, order.code, order.block)[0]))
+            lc = z[le]
+        out.append((le, lc, z))
+    out.sort(key=lambda r: order.key(r[0]), reverse=True)
+    return out
 
-    G holds primitive int term dicts; row(z) is an element's reducer row
-    (lead exp, lead coeff, ..., z) and nf(s, rows) reduces an S-polynomial
-    against the rows so far, {} when it vanishes.  nf may rewrite the tails
-    of earlier rows in place, as positive multiples of the old row minus
-    multiples of its result below the lead, but never their leads; so every
-    popped pair keeps a representation below its lcm.  Pairs (i, t), i < t, sit
-    in a heap keyed once, when pushed, by (order.key(lcm of the leads), i, t):
-    leads never change, so the key stays valid.  A pair is skipped when its
-    leads are coprime or by the chain criterion: another lead divides their
-    lcm and both pairs joining it to the two have already been popped.
-    The first ``seeded`` elements of G must form a reduced basis: their pairs
-    start in ``done``, never pushed.  Each has a representation below its lcm
-    on that basis, which tail rewrites keep, so the chain criterion holds.
-    Returns the rows of G and of every new element, in the order found.
+
+def _signature_step(f: dict, old: list, order: MonomialOrder) -> list:
+    """Rows that extend the reduced basis old (rows as ``_interreduce``
+    returns them) to a Groebner basis of old + (f): one F5C step.
+
+    Each new element carries a signature s, an exponent standing for the
+    multiple x^s * f it reduces from; old rows sit below every signature.
+    Pairs wait in a heap keyed by the signature sigma of their larger side
+    (the generating side); at most one S-polynomial is reduced per sigma, and
+    a pair whose sides have equal signatures is never formed.  A pair is
+    dropped when sigma is divisible by an old lead (Koszul), by the
+    signature of a principal syzygy of two new elements, or by that of an
+    earlier reduction to zero (checked when pushed, the syzygies again when
+    popped); or when its generating side is not the rewriter of sigma:
+    among the new elements c with s_c | sigma, the one with the smallest
+    lead of x^(sigma - s_c) * c, the newest on ties (the ratio rewrite order
+    of Eder and Faugere 2017).  Reduction is regular: by the old rows and
+    the new rows d with x^(E - l_d) * d below sigma in signature, E the
+    current lead and l_d that of d.  Every order here is a group order on
+    exponent vectors, so that is E < sigma + l_d - s_d, one key per row and
+    reduction.  The set grows as E falls, so reduce_full runs again only
+    while it grows.  A result whose lead a new row reduces at signature
+    exactly sigma is redundant and dropped; a zero result's sigma is a
+    syzygy.  The signatures and syzygies live only as long as the step.
     """
     K = kernel.get()
-    code, block = order.code, order.block
-    rows = [row(z) for z in G]
+    code, block, key = order.code, order.block, order.key
+    add, sub, div = K.exp_add, K.exp_sub, K.exp_div
+    if old:
+        f = K.make_primitive(K.reduce_full(f, old, code, block)[0])
+    if not f:
+        return []
+    sigs: list = []
+    rows: list = []
+    syz: list = []
     pairs: list = []
-    done = {(i, t) for t in range(seeded) for i in range(t)}
 
-    def push(t):
-        lt = rows[t][0]
+    def dead(s):  # a Koszul or known syzygy signature divides s
+        return any(div(s, r[0]) for r in old) or any(div(s, y) for y in syz)
+
+    def push(sig, z):
+        le = K.lead_exp(z, code, block)
+        t = len(rows)
+        for k, (lk, _, _) in enumerate(old):
+            s = add(sig, sub(K.exp_lcm(le, lk), le))
+            if not dead(s):
+                heapq.heappush(pairs, (key(s), s, t, -1 - k))
         for i in range(t):
-            heapq.heappush(pairs, (order.key(K.exp_lcm(rows[i][0], lt)), i, t))
-
-    def chained(i, j, L):
-        for k in range(len(rows)):
-            if k in (i, j) or not K.exp_div(L, rows[k][0]):
+            li, si = rows[i][0], sigs[i]
+            L = K.exp_lcm(le, li)
+            a, b = add(si, sub(L, li)), add(sig, sub(L, le))
+            if a == b:
                 continue
-            if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
-                return True
-        return False
+            p = max((key(a), a, i, t), (key(b), b, t, i))
+            # the principal syzygy's signature: the larger side times gcd of the leads
+            y = add(p[1], sub(add(le, li), L))
+            if not dead(y):
+                syz.append(y)
+            if not dead(p[1]):
+                heapq.heappush(pairs, p)
+        sigs.append(sig)
+        rows.append((le, z[le], z))
 
-    for t in range(seeded, len(rows)):
-        push(t)
+    push((0,) * len(next(iter(f))), f)
+    last = None
     while pairs:
-        _, i, j = heapq.heappop(pairs)
-        done.add((i, j))
-        li, lj = rows[i][0], rows[j][0]
-        L = K.exp_lcm(li, lj)
-        if L == K.exp_add(li, lj):  # coprime leads: S-poly reduces to zero
+        _, sig, g, o = heapq.heappop(pairs)
+        if sig == last or any(div(sig, y) for y in syz):
             continue
-        if chained(i, j, L):
+        rewriter = min(
+            (key(add(sub(sig, s), r[0])), -c)
+            for c, (r, s) in enumerate(zip(rows, sigs))
+            if div(sig, s)
+        )
+        if rewriter[1] != -g:
             continue
-        s = K.spoly(rows[i][-1], li, rows[i][1], rows[j][-1], lj, rows[j][1], code, block)
-        if not s:
-            continue
-        r = nf(s, rows)
-        if r:
-            rows.append(row(r))
-            push(len(rows) - 1)
+        last = sig
+        (lg, cg, zg), (lo, co, zo) = rows[g], (rows[o] if o >= 0 else old[-1 - o])
+        h = K.spoly(zg, lg, cg, zo, lo, co, code, block)
+        red = None
+        bounds = [key(add(sig, sub(r[0], s))) for r, s in zip(rows, sigs)]
+        while h:
+            E = K.lead_exp(h, code, block)
+            kE = key(E)
+            now = old + [r for r, b in zip(rows, bounds) if kE < b]
+            if red is not None and len(now) == len(red):
+                break
+            red = now
+            h = K.make_primitive(K.reduce_full(h, red, code, block)[0])
+        if not h:
+            syz.append(sig)
+        elif not any(div(E, r[0]) and add(E, s) == add(sig, r[0]) for r, s in zip(rows, sigs)):
+            push(sig, h)
     return rows
 
 
 def _reduced_groebner(zgens: list[dict], order: MonomialOrder, prefix=()) -> list[tuple]:
     """Reduced Groebner basis as (lead exp, primitive int term dict) pairs,
     sorted by decreasing lead.  prefix, a reduced basis under order as
-    primitive int term dicts, heads the rows as ``_complete``'s seeded ones."""
+    primitive int term dicts, is the basis the generators are added to."""
     K = kernel.get()
     code, block = order.code, order.block
     G = [K.make_primitive(dict(z)) for z in zgens if z]
     G.sort(key=lambda z: _det_key(z, order))
-    G[:0] = prefix
-
-    def row(z):
+    basis = []
+    for z in prefix:
         le = K.lead_exp(z, code, block)
-        return (le, z[le], z)
-
-    def nf(s, rows):
-        r = K.make_primitive(K.reduce_full(s, rows, code, block)[0])
-        if r:
-            # keep the rows tail-reduced: rewrite every earlier tail that the
-            # new lead divides, by r alone; the row's lead never changes
-            lr = K.lead_exp(r, code, block)
-            by_r = [row(r)]
-            for k, (le, lc, z) in enumerate(rows):
-                if any(e != le and K.exp_div(e, lr) for e in z):
-                    tail = dict(z)
-                    del tail[le]
-                    t, mn, md = K.reduce_full(tail, by_r, code, block)
-                    w = {le: lc * mn}
-                    for e, c in t.items():
-                        w[e] = md * c
-                    w = K.make_primitive(w)
-                    rows[k] = (le, w[le], w)
-        return r
-
-    basis = _complete(G, order, nf, row, len(prefix))
-
-    # minimalize: keep only elements whose lead no other kept lead divides
-    idx = sorted(range(len(basis)), key=lambda i: order.key(basis[i][0]))
-    kept = []
-    for i in idx:
-        if not any(K.exp_div(basis[i][0], basis[k][0]) for k in kept):
-            kept.append(i)
-    # tail-reduce each kept element against the others; no other kept lead
-    # divides its lead, so the lead stays
-    out = []
-    for i in kept:
-        others = [basis[k] for k in kept if k != i]
-        if others:
-            r, _, _ = K.reduce_full(basis[i][2], others, code, block)
-        else:
-            r = basis[i][2]
-        out.append((basis[i][0], K.make_primitive(dict(r))))
-    out.sort(key=lambda lz: order.key(lz[0]), reverse=True)
-    return out
+        basis.append((le, z[le], z))
+    for f in G:
+        new = _signature_step(f, basis, order)
+        if new:
+            basis = _interreduce(basis + new, order)
+    return [(le, z) for le, _, z in basis]
 
 
 def normal_form(p: Polynomial, gens, order: MonomialOrder = GREVLEX) -> Polynomial:

@@ -1,18 +1,19 @@
 """Local invariants at a point: tangent cones, local dimension, multiplicity.
 
 Standard bases are computed under the local order (negative degree
-grevlex) by the Buchberger pair loop of ``groebner._complete``, with its
-coprime and chain criteria, with Mora's normal form in place of full
-reduction; the lowest-degree forms of a standard basis
-generate the tangent cone, whose graded Hilbert data gives the local
+grevlex) by Mora's pair loop, ``_complete``, with the coprime and chain
+criteria and Mora's normal form; the lowest-degree forms of a standard
+basis generate the tangent cone, whose graded Hilbert data gives the local
 dimension and Hilbert-Samuel multiplicity.
 """
 
 from __future__ import annotations
 
+import heapq
+
 from . import kernel
 from .errors import InputError
-from .groebner import Ideal, _complete, _det_key, _from_int_terms, _front_ring, _zpoly
+from .groebner import Ideal, _det_key, _from_int_terms, _front_ring, _zpoly
 from .orders import LOCAL, block_order
 from .ring import AffinePoint
 
@@ -36,12 +37,24 @@ def standard_basis(gens) -> list[dict]:
     Lazard homogenization (one fresh variable, elimination-block order).
     """
     try:
-        return _standard_basis_mora(gens)
+        return _complete(gens)
     except _MoraBudgetExceeded:
         return _standard_basis_lazard(gens)
 
 
-def _standard_basis_mora(gens) -> list[dict]:
+def _complete(gens) -> list[dict]:
+    """Mora's standard basis loop under the local order.
+
+    Each element's row is (lead exp, lead coeff, ecart, primitive int term
+    dict); ``kernel.mora_nf`` reduces an S-polynomial against the rows so
+    far, {} when it vanishes, and raises ``_MoraBudgetExceeded`` past
+    ``MORA_STEP_LIMIT`` steps.  Pairs (i, t), i < t, sit in a heap keyed once,
+    when pushed, by (order key of the lcm of the leads, i, t): rows never
+    change, so the key stays valid.  A pair is skipped when its leads are
+    coprime or by the chain criterion: another lead divides their lcm and
+    both pairs joining it to the two have already been popped.  Returns the
+    inputs' and every new element's term dicts, in the order found.
+    """
     K = kernel.get()
     code = LOCAL.code
     G = [K.make_primitive(_zpoly(g)) for g in gens if not g.is_zero()]
@@ -51,13 +64,44 @@ def _standard_basis_mora(gens) -> list[dict]:
         le = K.lead_exp(z, code, 0)
         return (le, z[le], max(sum(e) for e in z) - sum(le), z)
 
-    def nf(s, rows):
-        h = K.mora_nf(s, rows, code, 0, MORA_STEP_LIMIT)
-        if h is None:
-            raise _MoraBudgetExceeded
-        return h
+    rows = [row(z) for z in G]
+    pairs: list = []
+    done: set = set()
 
-    return [r[-1] for r in _complete(G, LOCAL, nf, row)]
+    def push(t):
+        lt = rows[t][0]
+        for i in range(t):
+            heapq.heappush(pairs, (LOCAL.key(K.exp_lcm(rows[i][0], lt)), i, t))
+
+    def chained(i, j, L):
+        for k in range(len(rows)):
+            if k in (i, j) or not K.exp_div(L, rows[k][0]):
+                continue
+            if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
+                return True
+        return False
+
+    for t in range(len(rows)):
+        push(t)
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        done.add((i, j))
+        li, lj = rows[i][0], rows[j][0]
+        L = K.exp_lcm(li, lj)
+        if L == K.exp_add(li, lj):  # coprime leads: S-poly reduces to zero
+            continue
+        if chained(i, j, L):
+            continue
+        s = K.spoly(rows[i][-1], li, rows[i][1], rows[j][-1], lj, rows[j][1], code, 0)
+        if not s:
+            continue
+        r = K.mora_nf(s, rows, code, 0, MORA_STEP_LIMIT)
+        if r is None:
+            raise _MoraBudgetExceeded
+        if r:
+            rows.append(row(r))
+            push(len(rows) - 1)
+    return [r[-1] for r in rows]
 
 
 def _standard_basis_lazard(gens) -> list[dict]:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import budget
 
@@ -345,6 +345,12 @@ _plane_curve = st.dictionaries(
 
 @settings(max_examples=40, deadline=None)
 @given(_plane_curve, _plane_curve)
+# two quartics on which Mora normal forms run out of budget, so the index
+# goes through the Lazard fallback and the global engine
+@example(
+    R2.parse("-2*x*y^3 - y^4 + 2*x^3 - y").terms,
+    R2.parse("3*x^4 + 2*x*y^3 - y^3 + 3*x*y + 3*y^2").terms,
+)
 def test_plane_curve_index_matches_fulton(f, g):
     def deg(p):
         return max(i + j for i, j in p)
