@@ -558,4 +558,4 @@ def implicitize(components, param_ring: Ring, target_ring: Ring) -> Ideal:
     if leftover:
         # the parameters come first, so what is left is the target ring
         ideal = ideal.eliminate(leftover)
-    return Ideal._of_basis(target_ring, ideal.groebner())
+    return Ideal._of(target_ring, ideal.groebner(), ideal._rows())

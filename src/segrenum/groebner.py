@@ -24,17 +24,22 @@ A sum ``I + (h)`` starts from I's cached basis, and I : g^inf from I's
 grevlex basis, already reduced in block(1).  Mora's local standard bases
 (``localmult``) keep their own Buchberger pair loop.
 All reductions run fraction-free over int through the kernel backends, with
-content removed as coefficients grow.
-Reduced bases are monic and sorted by decreasing lead, so equal ideals have
-equal bases under a fixed order; the grevlex basis is the canonical one used
-for equality tests and printed reports.  Dimension and degree both come from
-the Hilbert series of the grevlex lead ideal, computed once per ideal.
+content removed as coefficients grow.  An ideal caches each reduced basis as
+the kernel's rows (lead, lead coeff, primitive int term dict), sorted by
+decreasing lead, lead coeff positive, so they are the monic basis up to that
+coeff and equal ideals have equal rows under a fixed order.  Sums,
+saturations, eliminations, membership, equality and the Hilbert data read
+the rows; Fraction Polynomials are built once, and only for ``Ideal.gens``
+and the public ``Ideal.groebner``.  The grevlex basis is the canonical one
+used for equality tests and printed reports.  Dimension and degree both come
+from the Hilbert series of the grevlex lead ideal, computed once per ideal.
 """
 
 from __future__ import annotations
 
 import heapq
 import weakref
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -82,16 +87,12 @@ def _front_ring(ring: Ring) -> Ring:
     return ring.extend([name], front=True)
 
 
-def _lift(p: Polynomial, ext: Ring) -> Polynomial:
-    """p as a polynomial of ext = _front_ring(p.ring), free of the front variable."""
-    return Polynomial(ext, {(0,) + e: c for e, c in p.terms.items()})
-
-
 def _interreduce(rows: list, order: MonomialOrder) -> list:
     """The reduced basis of the ideal that rows (lead, lead coeff, primitive
     int term dict), a Groebner basis under order, generate: drop every row
     whose lead another kept lead divides, then tail-reduce each kept row
-    against the others, which keeps its lead.  Sorted by decreasing lead."""
+    against the others and make its lead coeff positive.  Sorted by
+    decreasing lead, one-to-one with the monic reduced basis."""
     K = kernel.get()
     kept = []
     for r in sorted(rows, key=lambda r: order.key(r[0])):
@@ -103,6 +104,8 @@ def _interreduce(rows: list, order: MonomialOrder) -> list:
         if others:
             z = K.make_primitive(dict(K.reduce_full(z, others, order.code, order.block)[0]))
             lc = z[le]
+        if lc < 0:
+            lc, z = -lc, {e: -c for e, c in z.items()}
         out.append((le, lc, z))
     out.sort(key=lambda r: order.key(r[0]), reverse=True)
     return out
@@ -203,23 +206,18 @@ def _signature_step(f: dict, old: list, order: MonomialOrder) -> list:
     return rows
 
 
-def _reduced_groebner(zgens: list[dict], order: MonomialOrder, prefix=()) -> list[tuple]:
-    """Reduced Groebner basis as (lead exp, primitive int term dict) pairs,
-    sorted by decreasing lead.  prefix, a reduced basis under order as
-    primitive int term dicts, is the basis the generators are added to."""
-    K = kernel.get()
-    code, block = order.code, order.block
-    G = [K.make_primitive(dict(z)) for z in zgens if z]
+def _reduced_groebner(zgens: list[dict], order: MonomialOrder, prefix=()) -> tuple:
+    """Reduced Groebner basis as ``_interreduce`` rows, lead coeff positive
+    and sorted by decreasing lead.  prefix, such rows of a reduced basis
+    under order, is the basis the generators are added to."""
+    G = [kernel.get().make_primitive(dict(z)) for z in zgens if z]
     G.sort(key=lambda z: _det_key(z, order))
-    basis = []
-    for z in prefix:
-        le = K.lead_exp(z, code, block)
-        basis.append((le, z[le], z))
+    basis = list(prefix)
     for f in G:
         new = _signature_step(f, basis, order)
         if new:
             basis = _interreduce(basis + new, order)
-    return [(le, z) for le, _, z in basis]
+    return tuple(basis)
 
 
 def normal_form(p: Polynomial, gens, order: MonomialOrder = GREVLEX) -> Polynomial:
@@ -231,19 +229,19 @@ def normal_form(p: Polynomial, gens, order: MonomialOrder = GREVLEX) -> Polynomi
     K = kernel.get()
     if any(g.ring != p.ring for g in gens):
         raise InputError("polynomial from a different ring")
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return p
-    code, block = order.code, order.block
     basis = []
-    for g in gens:
-        z = _zpoly(g)
-        le = K.lead_exp(z, code, block)
+    for z in filter(None, map(_zpoly, gens)):
+        le = K.lead_exp(z, order.code, order.block)
         basis.append((le, z[le], z))
+    return _nf(p, basis, order)
+
+
+def _nf(p: Polynomial, rows, order: MonomialOrder) -> Polynomial:
+    """Remainder of p on division by the kernel rows, under order."""
     z, scale = _to_int_terms(p)
     if not z:
         return p.ring.zero()
-    r, mn, md = K.reduce_full(z, basis, code, block)
+    r, mn, md = kernel.get().reduce_full(z, rows, order.code, order.block)
     return _from_int_terms(p.ring, r, scale * Fraction(md, mn))
 
 
@@ -277,30 +275,62 @@ def exact_div(p: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(p.ring, q)
 
 
-class Ideal:
-    """A finitely generated ideal with cached reduced Groebner bases.  A sum
-    I + (h) seeds its bases from I's while I lives (``_base``, a weakref)."""
+def _poly_of(ring: Ring, g) -> Polynomial:
+    """A generator as a Polynomial: a kernel row as its monic basis element,
+    an int term dict with its own coefficients."""
+    if isinstance(g, tuple):
+        return _from_int_terms(ring, g[2], Fraction(1, g[1]))
+    return g if isinstance(g, Polynomial) else _from_int_terms(ring, g)
 
-    __slots__ = ("ring", "gens", "_gb", "_hilbert", "_base", "__weakref__")
+
+class Ideal:
+    """A finitely generated ideal with cached reduced Groebner bases, kept as
+    kernel rows (``_rows``).  Generators are kept as they came (``_src``):
+    Polynomials, kernel rows or int term dicts; ``gens`` and ``groebner``
+    build Polynomials once, when first asked.  A sum I + (h) seeds its bases
+    from I's while I lives (``_base``, a weakref)."""
+
+    __slots__ = ("ring", "_src", "_gens", "_gb", "_polys", "_hilbert", "_base", "__weakref__")
 
     def __init__(self, ring: Ring, gens):
+        if isinstance(gens, (str, Polynomial)):
+            gens = (gens,)
+        elif not isinstance(gens, Iterable):
+            raise InputError(f"{type(gens).__name__} is not a polynomial or a list of them")
         gens = tuple(g if isinstance(g, Polynomial) else ring.parse(g) for g in gens)
-        for g in gens:
-            if g.ring != ring:
-                raise InputError("generator from a different ring")
+        if any(g.ring != ring for g in gens):
+            raise InputError("generator from a different ring")
         self.ring = ring
-        self.gens = tuple(g for g in gens if not g.is_zero())
+        self._src = self._gens = tuple(g for g in gens if not g.is_zero())
         self._gb: dict = {}
+        self._polys: dict | None = None
         self._hilbert = None
         self._base = None
 
     @classmethod
-    def _of_basis(cls, ring: Ring, basis, order: MonomialOrder = GREVLEX) -> "Ideal":
-        """The ideal generated by basis, which is already its reduced basis
-        under order (monic, sorted by decreasing lead), cached as such."""
-        out = cls(ring, basis)
-        out._gb[order] = out.gens
+    def _of(cls, ring: Ring, src, rows=None, order=GREVLEX, base=None) -> "Ideal":
+        """The ideal src generates, src as ``_src`` holds it; rows, when
+        given, is its reduced basis under order; base, when given, is the
+        ideal of src's first generators, whose bases seed this one's."""
+        out = cls(ring, ())
+        out._src, out._gens = tuple(src), None
+        if rows is not None:
+            out._gb[order] = rows
+        out._base = base and weakref.ref(base)
         return out
+
+    @property
+    def gens(self) -> tuple[Polynomial, ...]:
+        if self._gens is None:
+            self._gens = tuple(_poly_of(self.ring, g) for g in self._src)
+        return self._gens
+
+    def _zgens(self, start: int = 0) -> list[dict]:
+        """The generators from start on as int term dicts."""
+        return [
+            _zpoly(g) if isinstance(g, Polynomial) else g[2] if isinstance(g, tuple) else g
+            for g in self._src[start:]
+        ]
 
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.gens) or "0"
@@ -308,52 +338,60 @@ class Ideal:
 
     # -- bases ---------------------------------------------------------------
 
-    def groebner(self, order: MonomialOrder = GREVLEX) -> tuple[Polynomial, ...]:
-        """Reduced monic Groebner basis, sorted by decreasing lead."""
-        if order not in self._gb:
+    def _rows(self, order: MonomialOrder = GREVLEX) -> tuple:
+        """The reduced basis under order as ``_reduced_groebner`` rows,
+        computed once; every consumer inside the package reads these."""
+        rows = self._gb.get(order)
+        if rows is None:
             if order.block > self.ring.arity:
-                n = self.ring.arity
-                raise InputError(f"{order} eliminates {order.block} of {n} variables")
+                raise InputError(f"{order} eliminates {order.block} of {self.ring.arity} variables")
             base = self._base and self._base()
             prefix = base._gb.get(order, ()) if base else ()
-            gens = self.gens[len(base.gens) :] if prefix else self.gens
-            gb = _reduced_groebner([_zpoly(g) for g in gens], order, [_zpoly(g) for g in prefix])
-            self._gb[order] = tuple(
-                _from_int_terms(self.ring, z, Fraction(1, z[le])) for le, z in gb
-            )
-        return self._gb[order]
+            zgens = self._zgens(len(base._src) if prefix else 0)
+            rows = self._gb[order] = _reduced_groebner(zgens, order, prefix)
+        return rows
+
+    def groebner(self, order: MonomialOrder = GREVLEX) -> tuple[Polynomial, ...]:
+        """Reduced monic Groebner basis, sorted by decreasing lead."""
+        self._polys = self._polys or {}
+        if order not in self._polys:
+            self._polys[order] = tuple(_poly_of(self.ring, r) for r in self._rows(order))
+        return self._polys[order]
 
     def leading_exponents(self, order: MonomialOrder = GREVLEX) -> tuple:
-        return tuple(max(g.terms, key=order.key) for g in self.groebner(order))
+        return tuple(r[0] for r in self._rows(order))
 
     def canonical_strings(self) -> list[str]:
-        return [str(g) for g in self.groebner(GREVLEX)]
+        return [str(_poly_of(self.ring, r)) for r in self._rows()]
 
     # -- predicates ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self._src
 
     def is_unit(self) -> bool:
-        gb = self.groebner(GREVLEX)
-        return len(gb) == 1 and gb[0].is_constant()
+        rows = self._rows()
+        return len(rows) == 1 and not any(rows[0][0])
 
     def _check_ring(self, p: Polynomial):
         if p.ring != self.ring:
             raise InputError("polynomial from a different ring")
 
+    def _holds(self, z: dict) -> bool:
+        return not z or not kernel.get().reduce_full(z, self._rows(), GREVLEX.code, 0)[0]
+
     def contains(self, p: Polynomial) -> bool:
         self._check_ring(p)
-        if p.is_zero():
-            return True
-        return normal_form(p, self.groebner(GREVLEX), GREVLEX).is_zero()
+        return self._holds(_zpoly(p))
 
     def contains_ideal(self, other: "Ideal") -> bool:
-        return all(self.contains(g) for g in other.gens)
+        if other.ring != self.ring:
+            raise InputError("ideals from different rings")
+        return all(self._holds(z) for z in other._zgens())
 
     def normal_form(self, p: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
         self._check_ring(p)
-        return normal_form(p, self.groebner(order), order)
+        return _nf(p, self._rows(order), order)
 
     def radical_contains(self, p: Polynomial) -> bool:
         """Membership in the radical: p lies in rad(I) iff I : p^inf = (1)."""
@@ -365,23 +403,19 @@ class Ideal:
     def __eq__(self, other):
         if not isinstance(other, Ideal):
             return NotImplemented
-        return self.ring == other.ring and self.groebner(GREVLEX) == other.groebner(
-            GREVLEX
-        )
+        return self.ring == other.ring and self._rows() == other._rows()
 
     def __hash__(self):
-        return hash((self.ring, self.groebner(GREVLEX)))
+        return hash((self.ring, tuple(frozenset(r[2].items()) for r in self._rows())))
 
     # -- constructions ---------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Ideal):
-            if other.ring != self.ring:
-                raise InputError("ideals from different rings")
-            other = other.gens
-        out = Ideal(self.ring, self.gens + tuple(other))
-        out._base = weakref.ref(self)
-        return out
+        if not isinstance(other, Ideal):
+            other = Ideal(self.ring, other)
+        elif other.ring != self.ring:
+            raise InputError("ideals from different rings")
+        return Ideal._of(self.ring, self._src + other._src, base=self)
 
     def translate(self, point: AffinePoint | None) -> "Ideal":
         """Generators composed with z -> z + x, moving x to the origin.
@@ -404,12 +438,10 @@ class Ideal:
             return other
         if other.contains_ideal(self):
             return self
-        ext = _front_ring(self.ring)
-        t = ext.var(0)
-        one_t = ext.one() - t
-        gens = [t * _lift(g, ext) for g in self.gens]
-        gens += [one_t * _lift(g, ext) for g in other.gens]
-        return Ideal(ext, gens).eliminate([0])
+        gens = [{(1,) + e: c for e, c in z.items()} for z in self._zgens()]
+        for z in other._zgens():
+            gens.append({(0,) + e: c for e, c in z.items()} | {(1,) + e: -c for e, c in z.items()})
+        return Ideal._of(_front_ring(self.ring), gens).eliminate([0])
 
     def quotient(self, g: Polynomial) -> "Ideal":
         """Ideal quotient I : g."""
@@ -422,14 +454,21 @@ class Ideal:
 
     def saturate_poly(self, g: Polynomial) -> "Ideal":
         """I : g^inf = (I + (1 - t*g)) cap k[x]: one elimination of a fresh t,
-        seeded with I's grevlex basis, which block(1) orders alike since no
-        term has t."""
+        seeded with I's grevlex rows, which block(1) orders alike since no
+        term has t.  With g = (a/b)*z, z primitive, 1 - t*g is b - a*t*z
+        up to a unit, and primitive."""
         self._check_ring(g)
         if g.is_zero():
             raise InputError("saturation by the zero polynomial")
         ext = _front_ring(self.ring)
-        base = Ideal._of_basis(ext, [_lift(p, ext) for p in self.groebner()], block_order(1))
-        return (base + (ext.one() - ext.var(0) * _lift(g, ext),)).eliminate([0])
+        lifted = tuple(
+            ((0,) + le, c, {(0,) + e: v for e, v in z.items()}) for le, c, z in self._rows()
+        )
+        base = Ideal._of(ext, lifted, lifted, block_order(1))
+        z, s = _to_int_terms(g)
+        one_tg = {(0,) * ext.arity: s.denominator}
+        one_tg.update(((1,) + e, -s.numerator * v) for e, v in z.items())
+        return Ideal._of(ext, lifted + (one_tg,), base=base).eliminate([0])
 
     def saturate(self, other: "Ideal") -> "Ideal":
         """I : J^inf as the intersection of the per-generator saturations."""
@@ -466,20 +505,17 @@ class Ideal:
         if drop != list(range(nd)):
             perm = drop + keep  # position p of the permuted ring holds old var perm[p]
             permuted = Ring(tuple(self.ring.names[i] for i in perm))
-            gens = [
-                Polynomial(permuted, {tuple(e[i] for i in perm): c for e, c in g.terms.items()})
-                for g in self.gens
-            ]
-            front = Ideal(permuted, gens)
-        gb = front.groebner(block_order(nd))
-        target = Ring(tuple(self.ring.names[i] for i in keep))
-        kept = []
-        for g in gb:
-            if not any(any(e[:nd]) for e in g.terms):
-                kept.append(Polynomial(target, {e[nd:]: c for e, c in g.terms.items()}))
-        # the block order restricts to grevlex on the kept variables, so the
-        # kept elements are the reduced grevlex basis, in its order
-        return Ideal._of_basis(target, kept)
+            gens = [{tuple(e[i] for i in perm): c for e, c in z.items()} for z in self._zgens()]
+            front = Ideal._of(permuted, gens)
+        # a row whose lead is free of the dropped variables is free of them,
+        # and the block order restricts to grevlex on the kept variables, so
+        # those rows are the reduced grevlex basis, in its order
+        kept = tuple(
+            (le[nd:], c, {e[nd:]: v for e, v in z.items()})
+            for le, c, z in front._rows(block_order(nd))
+            if not any(le[:nd])
+        )
+        return Ideal._of(Ring(tuple(self.ring.names[i] for i in keep)), kept, kept)
 
     # -- numeric invariants ------------------------------------------------------
 

@@ -4,7 +4,9 @@ Standard bases are computed under the local order (negative degree
 grevlex) by Mora's pair loop, ``_complete``, with the coprime and chain
 criteria and Mora's normal form; the lowest-degree forms of a standard
 basis generate the tangent cone, whose graded Hilbert data gives the local
-dimension and Hilbert-Samuel multiplicity.
+dimension and Hilbert-Samuel multiplicity.  All of it runs on the int term
+dicts of the ideal's generators (basis rows, for a sum or a saturation); the
+origin is on V(I) when no generator has a term of exponent zero.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import heapq
 
 from . import kernel
 from .errors import InputError
-from .groebner import Ideal, _det_key, _from_int_terms, _front_ring, _zpoly
+from .groebner import Ideal, _det_key, _reduced_groebner
 from .orders import LOCAL, block_order
 from .ring import AffinePoint
 
@@ -30,7 +32,8 @@ class _MoraBudgetExceeded(Exception):
 
 
 def standard_basis(gens) -> list[dict]:
-    """Weak standard basis (primitive int dicts) under the local order.
+    """Weak standard basis (primitive int dicts) under the local order of
+    the ideal the int term dicts gens generate.
 
     Mora normal forms with ecart selection are the fast path; if any single
     reduction exceeds its step budget the whole computation restarts via
@@ -57,7 +60,7 @@ def _complete(gens) -> list[dict]:
     """
     K = kernel.get()
     code = LOCAL.code
-    G = [K.make_primitive(_zpoly(g)) for g in gens if not g.is_zero()]
+    G = [K.make_primitive(z) for z in gens if z]
     G.sort(key=lambda z: _det_key(z, LOCAL))
 
     def row(z):
@@ -109,24 +112,18 @@ def _standard_basis_lazard(gens) -> list[dict]:
     homogeneous polynomial with a fresh front variable, take a basis under
     the order that eliminates it (which on homogeneous input agrees with
     the homogenized local order), and set the variable back to 1."""
-    ring = gens[0].ring
-    R = _front_ring(ring)
-    hpolys = []
-    for g in gens:
-        z = _zpoly(g)
-        if not z:
-            continue
-        top = max(sum(e) for e in z)
-        hpolys.append(_from_int_terms(R, {(top - sum(e),) + e: c for e, c in z.items()}))
+    hz = []
+    for z in gens:
+        top = max(map(sum, z), default=0)
+        hz.append({(top - sum(e),) + e: c for e, c in z.items()})
     out = []
-    for g in Ideal(R, hpolys).groebner(block_order(1)):
-        terms = {}
-        for e, c in g.terms.items():
-            tail = e[1:]
-            terms[tail] = terms.get(tail, 0) + c
-        p = ring.from_terms({e: c for e, c in terms.items() if c})
-        if not p.is_zero():
-            out.append(kernel.get().make_primitive(_zpoly(p)))
+    for _, _, h in _reduced_groebner(hz, block_order(1)):
+        terms: dict = {}
+        for e, c in h.items():
+            terms[e[1:]] = terms.get(e[1:], 0) + c
+        z = {e: c for e, c in terms.items() if c}
+        if z:
+            out.append(kernel.get().make_primitive(z))
     out.sort(key=lambda z: _det_key(z, LOCAL))
     return out
 
@@ -136,29 +133,23 @@ def tangent_cone(ideal: Ideal) -> Ideal:
     basis).  The input must already be translated so the point of interest is
     the origin; if the origin is not on V(I) the unit ideal is returned.
     """
-    ring = ideal.ring
-    if any(g.constant_term() != 0 for g in ideal.gens):
+    ring, gens = ideal.ring, ideal._zgens()
+    if any((0,) * ring.arity in z for z in gens):
         return Ideal(ring, (ring.one(),))
-    if ideal.is_zero():
-        return Ideal(ring, ())
     forms = []
-    for z in standard_basis(ideal.gens):
-        d = min(sum(e) for e in z)
-        form = {e: c for e, c in z.items() if sum(e) == d}
-        forms.append(_from_int_terms(ring, form))
-    return Ideal(ring, forms)
+    for z in standard_basis(gens) if gens else ():
+        d = min(map(sum, z))
+        forms.append({e: c for e, c in z.items() if sum(e) == d})
+    return Ideal._of(ring, forms)
 
 
 def local_dim_mult(ideal: Ideal, point: AffinePoint | None = None) -> tuple[int, int]:
     """(local dimension, Hilbert-Samuel multiplicity) of V(I) at the point.
 
-    Points off the variety give (-1, 0).  The zero ideal gives (arity, 1).
+    Points off the variety give (-1, 0), the Hilbert data of the unit cone.
+    The zero ideal gives (arity, 1).
     """
-    at = ideal.translate(point)
-    if any(g.constant_term() != 0 for g in at.gens):
-        return (-1, 0)
-    cone = tangent_cone(at)
-    hd = cone.hilbert_data()
+    hd = tangent_cone(ideal.translate(point)).hilbert_data()
     return (hd.dimension, hd.degree)
 
 

@@ -10,7 +10,8 @@ format used everywhere: identifiers for variables, ``+ - * ^``, integer and
 total degree of a power or product may exceed ``MAX_DEGREE``.  No literal,
 and no coefficient a power or product could build, may have more than
 ``MAX_DIGITS`` decimal digits, and no power, product or translation may
-expand to more than ``MAX_TERMS`` terms.
+expand to more than ``MAX_TERMS`` terms.  A ring has at most ``MAX_VARS``
+variables.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ MAX_DIGITS = 4_000
 # terms.  No shipped input or benchmark workload needs more than 1, no test
 # more than 441.
 MAX_TERMS = 100_000
+# Most variables a ring may have, checked before the names are.  Every
+# term carries one exponent per variable; the shipped inputs need at most 9
+# (the product space of three cycles in 3-space), no test more than 24.
+MAX_VARS = 64
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(
@@ -51,6 +56,8 @@ class Ring:
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
+        if len(names) > MAX_VARS:
+            raise InputError(f"{len(names)} variables exceed the limit {MAX_VARS}")
         for nm in names:
             if not _NAME_RE.match(nm):
                 raise InputError(f"bad variable name {nm!r}")
@@ -104,7 +111,9 @@ class Ring:
         return Polynomial(self, terms)
 
     def parse(self, text: str) -> "Polynomial":
-        return _parse_poly(self, text)
+        if not isinstance(text, str):
+            raise InputError(f"{type(text).__name__} is not a polynomial or its text")
+        return _Parser(self, text).parse()
 
     def parse_point(self, text: str) -> "AffinePoint":
         parts = [t.strip() for t in text.split(",")]
@@ -552,6 +561,3 @@ class _Parser:
             return -self.atom()
         raise InputError(f"unexpected token in {self.text!r}")
 
-
-def _parse_poly(ring: Ring, text: str) -> Polynomial:
-    return _Parser(ring, text).parse()

@@ -289,10 +289,9 @@ def _merged_inside(runs, k) -> Ideal | None:
     parts = [r.inside(k) for r in runs]
     if all(p.is_unit() for p in parts):
         return None
-    gens = []
-    for p in parts:
-        gens.extend(p.groebner())
-    return Ideal._of_basis(parts[0].ring, Ideal(parts[0].ring, gens).groebner())
+    ring = parts[0].ring
+    rows = Ideal._of(ring, [r for p in parts for r in p._rows()])._rows()
+    return Ideal._of(ring, rows, rows)
 
 
 def fixed_support(f, X, point=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, bound=DEFAULT_BOUND) -> FixedReport:

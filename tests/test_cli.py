@@ -18,6 +18,7 @@ from segrenum.cli import (
     run,
 )
 from segrenum.problem import load_problem
+from segrenum.ring import MAX_VARS
 
 CUSP = corpus_path("cusp.prob")
 TWISTED = corpus_path("twisted_cubic.prob")
@@ -232,6 +233,22 @@ def test_huge_product_expansion_is_input_error(tmp_path, capsys):
     f.write_text("ring x y z w\nideal A: (x*y*z*w)^200\nideal B: x, y, z\n")
     assert main(["tworzewski", str(f), "--cycles", "B", "A"]) == 2
     assert "terms exceeds the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "names, argv",
+    [
+        (MAX_VARS + 1, ["dim", "--ideal", "A"]),
+        # two parts in 33 variables make a product space of 66
+        (33, ["tworzewski", "--cycles", "A", "A"]),
+    ],
+    ids=["ring", "product-space"],
+)
+def test_too_many_variables_is_input_error(names, argv, tmp_path, capsys):
+    f = tmp_path / "wide.prob"
+    f.write_text(f"ring {' '.join(f'x{i}' for i in range(names))}\nideal A: x0\n")
+    assert main([argv[0], str(f), *argv[1:]]) == 2
+    assert f"variables exceed the limit {MAX_VARS}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

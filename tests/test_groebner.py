@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -282,9 +283,11 @@ def test_krull_dimension_of_many_variables_is_fast():
 def test_translate_to_origin_keeps_the_ideal():
     I = Ideal(R2, ["x^2 - y"])
     gb = I.groebner()
+    rows = I._gb[GREVLEX]
     for point in (None, AffinePoint(R2, (0, 0))):
         assert I.translate(point) is I
-        assert I.translate(point)._gb[GREVLEX] is gb
+        assert I.translate(point)._gb[GREVLEX] is rows
+        assert I.translate(point).groebner() is gb
         assert R2.parse("x").translate(point) == R2.parse("x")
 
 
@@ -696,6 +699,93 @@ def test_seed_slot_keeps_no_ideal_alive():
     del I
     assert S._base() is None
     assert S.groebner() == (R3.parse("x^2 - y"), R3.parse("z"))
+
+
+def test_sum_takes_one_polynomial_or_text_as_one_generator():
+    I = Ideal(R2, ["x^2"])
+    assert [str(g) for g in (I + "x+y").gens] == ["x^2", "x + y"]
+    assert (I + R2.parse("y")) == Ideal(R2, ["x^2", "y"])
+    assert (I + ["y", R2.parse("x")]) == (I + Ideal(R2, ["y", "x"])) == Ideal(R2, ["x", "y"])
+    for bad in (3, None, [3], ["y", 2.5]):
+        with pytest.raises(InputError, match="not a polynomial"):
+            I + bad
+    with pytest.raises(InputError, match="different ring"):
+        I + R3.parse("z")
+
+
+def test_ideals_born_from_rows_print_their_generators():
+    # monic reduced basis elements, as Polynomials built from the cached rows
+    E = Ideal(R3, ["y - x^2", "2*z - 3*x^3"]).eliminate([0])
+    assert [str(g) for g in E.gens] == ["y^3 - 4/9*z^2"]
+    assert repr(Ideal(R3, ["3*y - x^2", "z - 1/2*x*y"]).eliminate([1])) == "Ideal(x^3 - 6*z)"
+    S = Ideal(R3, ["x*y - 2*z^2", "3*x^2*z - y"]).saturate_poly(R3.parse("1/2*x + 3"))
+    assert [str(g) for g in S.gens] == [
+        "z^5 - 1/12*y^3", "x*z^3 - 1/6*y^2", "x^2*z - 1/3*y", "x*y - 2*z^2"
+    ]  # fmt: skip
+    # a sum keeps the Polynomials it was given
+    assert repr(E + [E.ring.parse("2/3*y + 5")]) == "Ideal(y^3 - 4/9*z^2, 2/3*y + 5)"
+
+
+def test_saturation_keeps_no_lifted_base_alive(monkeypatch):
+    made = []
+    of = Ideal._of.__func__
+
+    def spy(cls, *args, **kwargs):
+        out = of(cls, *args, **kwargs)
+        made.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(Ideal, "_of", classmethod(spy))
+    I = Ideal(R3, ["x*y - z^2", "x^2 - y"])
+    mine = weakref.ref(I)
+    S = I.saturate_poly(R3.parse("x"))
+    # the lifted base and the sum seeded from it are gone; only S is left
+    assert len(made) == 3
+    assert [r() for r in made if r() is not None] == [S]
+    del I
+    assert mine() is None
+    assert S == Ideal(R3, ["x*y - z^2", "x^2 - y"])
+
+
+@st.composite
+def _fraction_case(draw):
+    ring = _RINGS[draw(st.integers(2, 3))]
+    exps = st.tuples(*[st.integers(0, 2)] * ring.arity).filter(lambda e: sum(e) <= 3)
+    poly = st.dictionaries(exps, _coeff, min_size=1, max_size=3).map(ring.from_terms)
+    gens = draw(st.lists(poly, min_size=1, max_size=3))
+    probes = draw(st.lists(poly, min_size=1, max_size=3))
+    return ring, gens, probes, draw(st.sampled_from([GREVLEX, LEX, GRLEX, block_order(1)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fraction_case())
+def test_rows_agree_with_the_fraction_path(case):
+    # the reference reads only the public Polynomial bases, reduced over Fraction
+    ring, gens, probes, order = case
+
+    def leads(basis, o):
+        return tuple(max(g.terms, key=o.key) for g in basis)
+
+    def member(J, p):
+        return normal_form(p, J.groebner(), GREVLEX).is_zero()
+
+    I = Ideal(ring, gens)
+    same = Ideal(ring, gens[::-1] + [gens[0] * probes[0]])
+    for J in (I, same, I + probes[:1], I.saturate_poly(probes[0]), I.eliminate([0])):
+        if J.ring != ring:  # eliminated: compare it with its own generators
+            assert J == Ideal(J.ring, J.gens) and hash(J) == hash(Ideal(J.ring, J.gens))
+            continue
+        assert J.leading_exponents(order) == leads(J.groebner(order), order)
+        assert J.is_unit() == member(J, ring.one())
+        dim = hilbert_of_leads(leads(J.groebner(), GREVLEX), ring.arity).dimension
+        assert J.krull_dimension() == dim
+        for p in probes:
+            assert J.contains(p) == member(J, p)
+            assert J.normal_form(p, order) == normal_form(p, J.groebner(order), order)
+        equal = all(member(I, g) for g in J.gens) and all(member(J, g) for g in I.gens)
+        assert (J == I) == equal
+        if equal:
+            assert hash(J) == hash(I)
 
 
 def test_seeded_rows_form_no_s_pair_among_themselves(monkeypatch):

@@ -99,7 +99,7 @@ def test_mora_nf_parity_standard_basis_reducers(p):
     from segrenum.localmult import standard_basis
 
     R = Ring(["x", "y"])
-    sb = standard_basis(Ideal(R, ["x^2 - y^3", "x*y"]).gens)
+    sb = standard_basis(Ideal(R, ["x^2 - y^3", "x*y"])._zgens())
     basis = _mora_entries(sb)
     pp = _prim({(e[0], e[1]): c for e, c in p.items()})
     assert _pure.mora_nf(dict(pp), basis, LOCAL_CODE, 0) == _speed.mora_nf(
@@ -112,7 +112,7 @@ def test_mora_nf_limit_parity():
     from segrenum.localmult import standard_basis
 
     R = Ring(["x", "y"])
-    sb = standard_basis(Ideal(R, ["x^2 - y^3", "x*y"]).gens)
+    sb = standard_basis(Ideal(R, ["x^2 - y^3", "x*y"])._zgens())
     basis = _mora_entries(sb)
     p = _prim({(7, 5): 3, (0, 9): 2, (4, 0): 1})
     full_pure = _pure.mora_nf(dict(p), basis, LOCAL_CODE, 0)

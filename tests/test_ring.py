@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from segrenum import AffinePoint, InputError, Polynomial, Ring
 from segrenum import ring as ring_module
-from segrenum.ring import MAX_DEGREE, MAX_DIGITS, MAX_TERMS
+from segrenum.ring import MAX_DEGREE, MAX_DIGITS, MAX_TERMS, MAX_VARS
 
 R2 = Ring(["x", "y"])
 R3 = Ring(["x", "y", "z"])
@@ -27,6 +27,20 @@ def test_ring_validation():
     with pytest.raises(InputError):
         Ring(["a-b"])
     assert Ring(["_s", "x1"]).arity == 2
+
+
+def test_variable_count_limit(monkeypatch):
+    def no_polynomial(self, ring, terms):
+        raise AssertionError("built a polynomial")
+
+    monkeypatch.setattr(Polynomial, "__init__", no_polynomial)
+    names = [f"x{i}" for i in range(MAX_VARS + 1)]
+    with pytest.raises(InputError, match=f"{MAX_VARS + 1} variables exceed the limit {MAX_VARS}"):
+        Ring(names)
+    full = Ring(names[:-1])
+    assert full.arity == MAX_VARS
+    with pytest.raises(InputError, match=f"exceed the limit {MAX_VARS}"):
+        full.extend(["t"], front=True)
 
 
 def test_ring_extend_front_and_back():
