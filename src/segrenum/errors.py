@@ -27,10 +27,6 @@ class GenericityError(SegrenumError):
     exit_code = 3
     label = "genericity failure"
 
-    def __init__(self, message, codim=None):
-        super().__init__(message)
-        self.codim = codim
-
 
 class ImproperIntersectionError(SegrenumError):
     """Cycles meet in excess dimension; the proper intersection is undefined."""

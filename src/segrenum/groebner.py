@@ -453,35 +453,37 @@ class Ideal:
         return Ideal(self.ring, tuple(exact_div(h, g) for h in meet.gens))
 
     def saturate_poly(self, g: Polynomial) -> "Ideal":
-        """I : g^inf = (I + (1 - t*g)) cap k[x]: one elimination of a fresh t,
-        seeded with I's grevlex rows, which block(1) orders alike since no
-        term has t.  With g = (a/b)*z, z primitive, 1 - t*g is b - a*t*z
-        up to a unit, and primitive."""
+        """I : g^inf, which is I : z^inf for g's primitive int terms z."""
         self._check_ring(g)
         if g.is_zero():
             raise InputError("saturation by the zero polynomial")
+        return self._saturate_by(_zpoly(g))
+
+    def _saturate_by(self, z: dict) -> "Ideal":
+        """I : z^inf = (I + (1 - t*z)) cap k[x] for a nonzero int term dict z:
+        one elimination of a fresh t, seeded with I's grevlex rows, which
+        block(1) orders alike since no term has t."""
         ext = _front_ring(self.ring)
         lifted = tuple(
-            ((0,) + le, c, {(0,) + e: v for e, v in z.items()}) for le, c, z in self._rows()
+            ((0,) + le, c, {(0,) + e: v for e, v in w.items()}) for le, c, w in self._rows()
         )
         base = Ideal._of(ext, lifted, lifted, block_order(1))
-        z, s = _to_int_terms(g)
-        one_tg = {(0,) * ext.arity: s.denominator}
-        one_tg.update(((1,) + e, -s.numerator * v) for e, v in z.items())
-        return Ideal._of(ext, lifted + (one_tg,), base=base).eliminate([0])
+        one_tz = {(0,) * ext.arity: 1}
+        one_tz.update(((1,) + e, -v) for e, v in z.items())
+        return Ideal._of(ext, lifted + (one_tz,), base=base).eliminate([0])
 
     def saturate(self, other: "Ideal") -> "Ideal":
         """I : J^inf as the intersection of the per-generator saturations."""
         if other.ring != self.ring:
             raise InputError("ideals from different rings")
-        gens = [g for g in other.gens if not g.is_zero()]
-        if not gens:
+        zs = {frozenset(z.items()): z for z in other._zgens() if z}
+        if not zs:
             raise InputError("saturation by the zero ideal")
         sats = []
-        for g in dict.fromkeys(gens):
-            s = self.saturate_poly(g)
+        for z in zs.values():
+            s = self._saturate_by(z)
             if s == self:
-                # g is a nonzerodivisor mod I, so nothing saturates away
+                # z is a nonzerodivisor mod I, so nothing saturates away
                 return self
             if not s.is_unit():
                 sats.append(s)

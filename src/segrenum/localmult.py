@@ -2,11 +2,11 @@
 
 Standard bases are computed under the local order (negative degree
 grevlex) by Mora's pair loop, ``_complete``, with the coprime and chain
-criteria and Mora's normal form; the lowest-degree forms of a standard
-basis generate the tangent cone, whose graded Hilbert data gives the local
-dimension and Hilbert-Samuel multiplicity.  All of it runs on the int term
-dicts of the ideal's generators (basis rows, for a sum or a saturation); the
-origin is on V(I) when no generator has a term of exponent zero.
+criteria and Mora's normal form.  Their local leads generate the lead
+ideal of the tangent cone, so its Hilbert data, the local dimension and
+Hilbert-Samuel multiplicity, needs no cone; ``tangent_cone`` alone takes
+lowest forms.  All of it runs on the int term dicts of the ideal's
+generators (basis rows, for a sum or a saturation).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import heapq
 
 from . import kernel
 from .errors import InputError
-from .groebner import Ideal, _det_key, _reduced_groebner
+from .groebner import Ideal, _det_key, _reduced_groebner, hilbert_of_leads
 from .orders import LOCAL, block_order
 from .ring import AffinePoint
 
@@ -27,31 +27,27 @@ from .ring import AffinePoint
 MORA_STEP_LIMIT = 400
 
 
-class _MoraBudgetExceeded(Exception):
-    pass
-
-
 def standard_basis(gens) -> list[dict]:
     """Weak standard basis (primitive int dicts) under the local order of
     the ideal the int term dicts gens generate.
 
-    Mora normal forms with ecart selection are the fast path; if any single
-    reduction exceeds its step budget the whole computation restarts via
-    Lazard homogenization (one fresh variable, elimination-block order).
+    [1] when a generator has a constant term (a unit at the origin); else
+    Mora's loop, or, if a reduction exceeds its step budget, Lazard
+    homogenization (one fresh variable, elimination-block order).
     """
-    try:
-        return _complete(gens)
-    except _MoraBudgetExceeded:
-        return _standard_basis_lazard(gens)
+    one = next((e for z in gens for e in z if not any(e)), None)
+    if one is not None:
+        return [{one: 1}]
+    return _complete(gens) or _standard_basis_lazard(gens)
 
 
-def _complete(gens) -> list[dict]:
+def _complete(gens) -> list[dict] | None:
     """Mora's standard basis loop under the local order.
 
     Each element's row is (lead exp, lead coeff, ecart, primitive int term
     dict); ``kernel.mora_nf`` reduces an S-polynomial against the rows so
-    far, {} when it vanishes, and raises ``_MoraBudgetExceeded`` past
-    ``MORA_STEP_LIMIT`` steps.  Pairs (i, t), i < t, sit in a heap keyed once,
+    far, {} when it vanishes, and None past ``MORA_STEP_LIMIT`` steps, when
+    this returns None too.  Pairs (i, t), i < t, sit in a heap keyed once,
     when pushed, by (order key of the lcm of the leads, i, t): rows never
     change, so the key stays valid.  A pair is skipped when its leads are
     coprime or by the chain criterion: another lead divides their lcm and
@@ -100,7 +96,7 @@ def _complete(gens) -> list[dict]:
             continue
         r = K.mora_nf(s, rows, code, 0, MORA_STEP_LIMIT)
         if r is None:
-            raise _MoraBudgetExceeded
+            return None
         if r:
             rows.append(row(r))
             push(len(rows) - 1)
@@ -133,31 +129,31 @@ def tangent_cone(ideal: Ideal) -> Ideal:
     basis).  The input must already be translated so the point of interest is
     the origin; if the origin is not on V(I) the unit ideal is returned.
     """
-    ring, gens = ideal.ring, ideal._zgens()
-    if any((0,) * ring.arity in z for z in gens):
-        return Ideal(ring, (ring.one(),))
     forms = []
-    for z in standard_basis(gens) if gens else ():
+    for z in standard_basis(ideal._zgens()):
         d = min(map(sum, z))
         forms.append({e: c for e, c in z.items() if sum(e) == d})
-    return Ideal._of(ring, forms)
+    return Ideal._of(ideal.ring, forms)
 
 
 def local_dim_mult(ideal: Ideal, point: AffinePoint | None = None) -> tuple[int, int]:
-    """(local dimension, Hilbert-Samuel multiplicity) of V(I) at the point.
+    """(local dimension, Hilbert-Samuel multiplicity) of V(I) at the point,
+    read off the local leads of a standard basis.
 
-    Points off the variety give (-1, 0), the Hilbert data of the unit cone.
+    Points off the variety give (-1, 0), the Hilbert data of the unit ideal.
     The zero ideal gives (arity, 1).
     """
-    hd = tangent_cone(ideal.translate(point)).hilbert_data()
+    lead = kernel.get().lead_exp
+    basis = standard_basis(ideal.translate(point)._zgens())
+    hd = hilbert_of_leads([lead(z, LOCAL.code, 0) for z in basis], ideal.ring.arity)
     return (hd.dimension, hd.degree)
 
 
 def colength(ideal: Ideal, point: AffinePoint | None = None) -> int:
     """Vector-space dimension of R/I for a zero-dimensional ideal.
 
-    The point (default origin) must be an isolated point of V(I), checked via
-    the tangent cone; the count itself is the global staircase count, i.e. it
+    The point (default origin) must be an isolated point of V(I), checked by
+    its local dimension; the count itself is the global staircase count, i.e. it
     sums the contributions of every point of V(I).
     """
     at = ideal.translate(point)

@@ -38,7 +38,6 @@ _MAP_RE = re.compile(r"\s*map\((?P<name>[A-Za-z_]\w*)\)\s*\Z")
 
 @dataclass(frozen=True)
 class MapDef:
-    name: str
     param_ring: Ring
     components: tuple
 
@@ -146,7 +145,7 @@ def _handle_declaration(problem: Problem, key: str, name: str | None, body: str)
             raise InputError(
                 f"map has {len(components)} components for {ring.arity} variables"
             )
-        problem.maps[name] = MapDef(name, param_ring, components)
+        problem.maps[name] = MapDef(param_ring, components)
     else:
         raise InputError(f"unknown declaration {key!r}")
 

@@ -96,9 +96,6 @@ class Ring:
         e[i] = 1
         return Polynomial(self, {tuple(e): Fraction(1)})
 
-    def gens(self) -> tuple["Polynomial", ...]:
-        return tuple(self.var(i) for i in range(self.arity))
-
     def extend(self, extra: Iterable[str], front: bool = False) -> "Ring":
         """A ring with additional variables appended (or prepended)."""
         extra = tuple(extra)

@@ -156,8 +156,7 @@ def random_vogel_sequence(
             return VogelSequence(alpha, tuple(h), chain)
         last_bad = bad
     raise GenericityError(
-        f"no certified Vogel sequence in {CERT_RETRIES} draws (failing codim {last_bad})",
-        codim=last_bad,
+        f"no certified Vogel sequence in {CERT_RETRIES} draws (failing codim {last_bad})"
     )
 
 
@@ -166,7 +165,7 @@ def _step_mass(ideal: Ideal, expected: int, k: int, what: str) -> tuple[int, int
     expected dimension; GenericityError above it."""
     ld, m = local_dim_mult(ideal)
     if ld > expected:
-        raise GenericityError(f"step {k}{what} has local dimension {ld} > {expected}", codim=k)
+        raise GenericityError(f"step {k}{what} has local dimension {ld} > {expected}")
     return ld, m if ld == expected else 0
 
 

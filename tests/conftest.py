@@ -15,7 +15,7 @@ def draws(monkeypatch):
     def counted(*args, **kwargs):
         count[0] += 1
         if count[0] <= fail[0]:
-            raise GenericityError("scripted failure", codim=1)
+            raise GenericityError("scripted failure")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(vogel, "random_vogel_sequence", counted)

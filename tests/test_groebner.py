@@ -235,6 +235,18 @@ def test_saturate_matches_iterated_quotient():
     assert I.saturate_poly(z) == ref
 
 
+def test_saturating_by_rows_builds_no_polynomials():
+    # J = (y - x^2), born from the rows of an elimination: the saturation
+    # reads its int terms, so J never builds Fraction generators
+    J = Ideal(R3, ["x - z", "y - z^2"]).eliminate([2])
+    assert J.ring == R2 and J._gens is None
+    I = Ideal(R2, ["x*y - x^3", "x^2*y - x^4"])
+    assert I.saturate(J) == Ideal(R2, ["x"])
+    assert J._gens is None
+    # a generator repeated up to a scalar is saturated by once
+    assert I.saturate(Ideal(R2, ["y - x^2", "2*y - 2*x^2"])) == Ideal(R2, ["x"])
+
+
 @pytest.mark.parametrize("names", [["_s", "y"], ["_rb", "y"], ["_h", "y"], ["_t", "_t_"]])
 def test_elimination_variable_never_clashes(names):
     R = Ring(names)

@@ -10,9 +10,12 @@ from segrenum import (
     InputError,
     Ring,
     colength,
+    kernel,
     local_dim_mult,
     tangent_cone,
 )
+from segrenum.groebner import hilbert_of_leads
+from segrenum.orders import LOCAL
 
 R2 = Ring(["x", "y"])
 RZ = Ring(["z1", "z2"])
@@ -82,6 +85,97 @@ def test_mult_at_translated_point():
 
 def test_full_ring_local():
     assert local_dim_mult(Ideal(R2, ())) == (2, 1)
+
+
+def test_isolated_point_multiplicity():
+    # the cusp meets the axes x and y with multiplicities 3 and 2
+    assert local_dim_mult(Ideal(R2, ["x^2 - y^3", "x*y"])) == (0, 5)
+
+
+_LOCAL_CASES = (
+    test_cusp_family_multiplicity,
+    test_smooth_point_and_node,
+    test_point_not_on_variety,
+    test_mult_at_translated_point,
+    test_full_ring_local,
+    test_isolated_point_multiplicity,
+)
+
+
+def _from_the_cone(I):
+    """(dimension, degree) of the tangent cone's Hilbert data at the origin,
+    checked against the local leads of both standard basis routes: Mora's
+    whenever it stays within budget, and Lazard's."""
+    from segrenum.localmult import _complete, _standard_basis_lazard
+
+    hd = tangent_cone(I).hilbert_data()
+    want = (hd.dimension, hd.degree)
+    lead = kernel.get().lead_exp
+
+    def from_leads(basis):
+        h = hilbert_of_leads([lead(z, LOCAL.code, 0) for z in basis], I.ring.arity)
+        return (h.dimension, h.degree)
+
+    via_mora = _complete(I._zgens())
+    if via_mora is not None:
+        assert from_leads(via_mora) == want
+    assert from_leads(_standard_basis_lazard(I._zgens())) == want
+    return want
+
+
+def test_local_dim_mult_matches_the_cone_on_every_case(monkeypatch):
+    # the cases look local_dim_mult up in this module, so each of their
+    # answers is also checked against the cone
+    real = local_dim_mult
+
+    def checked(ideal, point=None):
+        got = real(ideal, point)
+        assert got == _from_the_cone(ideal.translate(point))
+        return got
+
+    monkeypatch.setitem(globals(), "local_dim_mult", checked)
+    for case in _LOCAL_CASES:
+        case()
+
+
+def _ideals(ring):
+    exps = st.tuples(*[st.integers(0, 3)] * ring.arity).filter(lambda e: sum(e) <= 4)
+    poly = st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=4)
+    return st.lists(poly.map(ring.from_terms), min_size=1, max_size=3).map(
+        lambda gens: Ideal(ring, gens)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([R2, Ring(["x", "y", "z"])]).flatmap(_ideals))
+def test_local_dim_mult_matches_the_cone_property(I):
+    assert local_dim_mult(I) == _from_the_cone(I)
+
+
+def test_local_dim_mult_builds_no_cone(monkeypatch):
+    import segrenum.localmult as lm
+
+    def built(*args):
+        raise AssertionError("local_dim_mult built a tangent cone")
+
+    monkeypatch.setattr(lm, "tangent_cone", built)
+    monkeypatch.setattr(Ideal, "hilbert_data", built)
+    for case in _LOCAL_CASES:
+        case()
+
+
+def test_constant_term_is_a_unit_at_the_origin(monkeypatch):
+    import segrenum.localmult as lm
+
+    def completed(gens):
+        raise AssertionError("a unit at the origin went to Mora's loop")
+
+    monkeypatch.setattr(lm, "_complete", completed)
+    I = Ideal(R2, ["2 + 3*x"])
+    assert lm.standard_basis(I._zgens()) == [{(0, 0): 1}]
+    assert lm.standard_basis(Ideal(R2, ["x*y", "y - 5"])._zgens()) == [{(0, 0): 1}]
+    assert repr(tangent_cone(I)) == "Ideal(1)"
+    assert local_dim_mult(I) == (-1, 0)
 
 
 # -- colength --------------------------------------------------------------------
@@ -154,6 +248,17 @@ def test_lazard_route_matches_mora_on_known_cones():
         assert via_mora == via_lazard, gens
 
 
+def test_mora_budget_trip_returns_none(monkeypatch):
+    import segrenum.localmult as lm
+
+    # one S-polynomial of these needs two Mora steps
+    gens = Ideal(R2, ["y^2 - x^5", "x^2*y - y^4"])._zgens()
+    assert lm._complete(gens) is not None
+    monkeypatch.setattr(lm, "MORA_STEP_LIMIT", 1)
+    assert lm._complete(gens) is None
+    assert lm.standard_basis(gens) == lm._standard_basis_lazard(gens)
+
+
 def test_runaway_reduction_falls_back(monkeypatch):
     # force every Mora reduction over budget: results must still be correct
     import segrenum.localmult as lm
@@ -161,6 +266,10 @@ def test_runaway_reduction_falls_back(monkeypatch):
     monkeypatch.setattr(lm, "MORA_STEP_LIMIT", 1)
     assert local_dim_mult(Ideal(R2, ["x^2 - y^3", "x*y"])) == (0, 5)
     assert tangent_cone(Ideal(RZ, ["z1^2 - z2^3"])) == Ideal(RZ, ["z1^2"])
+    # these trip the budget at one step (test_mora_budget_trip_returns_none)
+    I = Ideal(R2, ["y^2 - x^5", "x^2*y - y^4"])
+    assert local_dim_mult(I) == (0, 9)
+    assert tangent_cone(I) == Ideal(R2, ["x^2*y", "y^2", "x^7"])
 
 
 def test_vogel_blowup_instance_completes():
