@@ -248,12 +248,10 @@ def _run_command(problem: Problem, ns):
 
 def _run_expectation(problem: Problem, exp, defaults) -> dict | None:
     """Returns a failure entry, or None when the expectation holds."""
-    # the path goes right after the command so greedy list flags (--cycles
-    # NAME...) can never swallow it
-    argv = [exp.argv[0], problem.path, *exp.argv[1:]]
-    for flag, value in defaults:
-        if flag not in exp.argv:
-            argv += [flag, str(value)]
+    # the path right after the command, so greedy list flags (--cycles NAME...)
+    # never swallow it; the line's own flags last, in any spelling, so they win
+    flags = [s for flag, value in defaults for s in (flag, str(value))]
+    argv = [exp.argv[0], problem.path, *flags, *exp.argv[1:]]
     try:
         ns = build_parser().parse_args(argv)
         if ns.command in ("check", "corpus"):

@@ -534,9 +534,7 @@ def implicitize(components, param_ring: Ring, target_ring: Ring) -> Ideal:
     Components live in the parameter ring; the result lives in the target
     ring, whose arity must match the number of components.
     """
-    components = [
-        p if isinstance(p, Polynomial) else param_ring.parse(p) for p in components
-    ]
+    components = param_ring.polys(components)
     if len(components) != target_ring.arity:
         raise InputError(
             f"{len(components)} components cannot parametrize a space of"

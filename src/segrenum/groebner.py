@@ -20,9 +20,13 @@ the basis it is added to, as for generic dense systems, a Koszul signature
 divides every syzygy signature and no S-polynomial reduces to zero (Faugere
 2002).  The output is the reduced basis, unique for the ideal and
 the order, so it is the one any correct completion gives.
-A sum ``I + (h)`` starts from I's cached basis, and I : g^inf from I's
-grevlex basis, already reduced in block(1).  Mora's local standard bases
-(``localmult``) keep their own Buchberger pair loop.
+A sum ``I + (h)`` starts from I's cached basis.  Every elimination is one
+block(nd) completion of int term dicts whose nd front variables are dropped,
+and ``_eliminated`` keeps its rows free of them: a fresh t in front for
+I : g^inf = (I + (1 - t*g)) cap k[x], seeded with I's grevlex basis, and for
+I cap K = (t*I + (1 - t)*K) cap k[x]; the dropped variables moved in front
+for ``Ideal.eliminate``.  Mora's local standard bases (``localmult``) keep
+their own Buchberger pair loop.
 All reductions run fraction-free over int through the kernel backends, with
 content removed as coefficients grow.  An ideal caches each reduced basis as
 the kernel's rows (lead, lead coeff, primitive int term dict), sorted by
@@ -39,7 +43,6 @@ from __future__ import annotations
 
 import heapq
 import weakref
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -77,14 +80,6 @@ def _from_int_terms(ring: Ring, z: dict, scale=Fraction(1)) -> Polynomial:
 
 def _det_key(z: dict, order: MonomialOrder):
     return (order.key(max(z, key=order.key)), len(z), sorted(z.items()))
-
-
-def _front_ring(ring: Ring) -> Ring:
-    """ring with one variable prepended, named apart from ring's variables."""
-    name = "_t"
-    while name in ring.names:
-        name += "_"
-    return ring.extend([name], front=True)
 
 
 def _interreduce(rows: list, order: MonomialOrder) -> list:
@@ -220,6 +215,18 @@ def _reduced_groebner(zgens: list[dict], order: MonomialOrder, prefix=()) -> tup
     return tuple(basis)
 
 
+def _eliminated(ring: Ring, rows, nd: int) -> "Ideal":
+    """(rows) cap ring, for rows a reduced block(nd) basis over nd front
+    variables followed by ring's: the one owner of every elimination.  A row
+    whose lead is free of the front block is free of it, and block(nd)
+    restricts to grevlex on the rest, so those rows are the reduced grevlex
+    basis, in its order."""
+    kept = tuple(
+        (le[nd:], c, {e[nd:]: v for e, v in z.items()}) for le, c, z in rows if not any(le[:nd])
+    )
+    return Ideal._of(ring, kept, kept)
+
+
 def normal_form(p: Polynomial, gens, order: MonomialOrder = GREVLEX) -> Polynomial:
     """Remainder of p on division by the given polynomials (exact, Fraction).
 
@@ -227,10 +234,8 @@ def normal_form(p: Polynomial, gens, order: MonomialOrder = GREVLEX) -> Polynomi
     the order; otherwise some remainder under the fixed reduction strategy.
     """
     K = kernel.get()
-    if any(g.ring != p.ring for g in gens):
-        raise InputError("polynomial from a different ring")
     basis = []
-    for z in filter(None, map(_zpoly, gens)):
+    for z in filter(None, map(_zpoly, p.ring.polys(gens))):
         le = K.lead_exp(z, order.code, order.block)
         basis.append((le, z[le], z))
     return _nf(p, basis, order)
@@ -293,29 +298,22 @@ class Ideal:
     __slots__ = ("ring", "_src", "_gens", "_gb", "_polys", "_hilbert", "_base", "__weakref__")
 
     def __init__(self, ring: Ring, gens):
-        if isinstance(gens, (str, Polynomial)):
-            gens = (gens,)
-        elif not isinstance(gens, Iterable):
-            raise InputError(f"{type(gens).__name__} is not a polynomial or a list of them")
-        gens = tuple(g if isinstance(g, Polynomial) else ring.parse(g) for g in gens)
-        if any(g.ring != ring for g in gens):
-            raise InputError("generator from a different ring")
         self.ring = ring
-        self._src = self._gens = tuple(g for g in gens if not g.is_zero())
+        self._src = self._gens = tuple(g for g in ring.polys(gens) if not g.is_zero())
         self._gb: dict = {}
         self._polys: dict | None = None
         self._hilbert = None
         self._base = None
 
     @classmethod
-    def _of(cls, ring: Ring, src, rows=None, order=GREVLEX, base=None) -> "Ideal":
+    def _of(cls, ring: Ring, src, rows=None, base=None) -> "Ideal":
         """The ideal src generates, src as ``_src`` holds it; rows, when
-        given, is its reduced basis under order; base, when given, is the
-        ideal of src's first generators, whose bases seed this one's."""
+        given, is its reduced grevlex basis; base, when given, is the ideal
+        of src's first generators, whose bases seed this one's."""
         out = cls(ring, ())
         out._src, out._gens = tuple(src), None
         if rows is not None:
-            out._gb[order] = rows
+            out._gb[GREVLEX] = rows
         out._base = base and weakref.ref(base)
         return out
 
@@ -441,7 +439,7 @@ class Ideal:
         gens = [{(1,) + e: c for e, c in z.items()} for z in self._zgens()]
         for z in other._zgens():
             gens.append({(0,) + e: c for e, c in z.items()} | {(1,) + e: -c for e, c in z.items()})
-        return Ideal._of(_front_ring(self.ring), gens).eliminate([0])
+        return _eliminated(self.ring, _reduced_groebner(gens, block_order(1)), 1)
 
     def quotient(self, g: Polynomial) -> "Ideal":
         """Ideal quotient I : g."""
@@ -461,16 +459,14 @@ class Ideal:
 
     def _saturate_by(self, z: dict) -> "Ideal":
         """I : z^inf = (I + (1 - t*z)) cap k[x] for a nonzero int term dict z:
-        one elimination of a fresh t, seeded with I's grevlex rows, which
+        one elimination of a fresh t, 1 - t*z added to I's grevlex rows, which
         block(1) orders alike since no term has t."""
-        ext = _front_ring(self.ring)
         lifted = tuple(
             ((0,) + le, c, {(0,) + e: v for e, v in w.items()}) for le, c, w in self._rows()
         )
-        base = Ideal._of(ext, lifted, lifted, block_order(1))
-        one_tz = {(0,) * ext.arity: 1}
+        one_tz = {(0,) * (self.ring.arity + 1): 1}
         one_tz.update(((1,) + e, -v) for e, v in z.items())
-        return Ideal._of(ext, lifted + (one_tz,), base=base).eliminate([0])
+        return _eliminated(self.ring, _reduced_groebner([one_tz], block_order(1), lifted), 1)
 
     def saturate(self, other: "Ideal") -> "Ideal":
         """I : J^inf as the intersection of the per-generator saturations."""
@@ -497,27 +493,20 @@ class Ideal:
 
     def eliminate(self, var_indices) -> "Ideal":
         """Eliminate the given variables; result lives in the projected ring."""
-        drop = sorted(set(var_indices))
+        drop = list(var_indices)
         for i in drop:
-            if not 0 <= i < self.ring.arity:
-                raise InputError(f"no variable with index {i}")
+            if not isinstance(i, int) or not 0 <= i < self.ring.arity:
+                raise InputError(f"no variable with index {i!r}")
+        drop = sorted(set(drop))
         keep = [i for i in range(self.ring.arity) if i not in drop]
         nd = len(drop)
-        front = self
-        if drop != list(range(nd)):
-            perm = drop + keep  # position p of the permuted ring holds old var perm[p]
-            permuted = Ring(tuple(self.ring.names[i] for i in perm))
+        if drop == list(range(nd)):
+            rows = self._rows(block_order(nd))
+        else:
+            perm = drop + keep  # position p of the permuted terms holds old var perm[p]
             gens = [{tuple(e[i] for i in perm): c for e, c in z.items()} for z in self._zgens()]
-            front = Ideal._of(permuted, gens)
-        # a row whose lead is free of the dropped variables is free of them,
-        # and the block order restricts to grevlex on the kept variables, so
-        # those rows are the reduced grevlex basis, in its order
-        kept = tuple(
-            (le[nd:], c, {e[nd:]: v for e, v in z.items()})
-            for le, c, z in front._rows(block_order(nd))
-            if not any(le[:nd])
-        )
-        return Ideal._of(Ring(tuple(self.ring.names[i] for i in keep)), kept, kept)
+            rows = _reduced_groebner(gens, block_order(nd))
+        return _eliminated(Ring(tuple(self.ring.names[i] for i in keep)), rows, nd)
 
     # -- numeric invariants ------------------------------------------------------
 

@@ -107,6 +107,18 @@ class Ring:
     def from_terms(self, terms: Mapping[tuple, Fraction]) -> "Polynomial":
         return Polynomial(self, terms)
 
+    def polys(self, items) -> tuple["Polynomial", ...]:
+        """One polynomial, its text, or an iterable of them, as this ring's
+        Polynomials; InputError for anything else or another ring's."""
+        if isinstance(items, (str, Polynomial)):
+            items = (items,)
+        elif not isinstance(items, Iterable):
+            raise InputError(f"{type(items).__name__} is not a polynomial or a list of them")
+        out = tuple(p if isinstance(p, Polynomial) else self.parse(p) for p in items)
+        if any(p.ring != self for p in out):
+            raise InputError("polynomial from a different ring")
+        return out
+
     def parse(self, text: str) -> "Polynomial":
         if not isinstance(text, str):
             raise InputError(f"{type(text).__name__} is not a polynomial or its text")

@@ -114,11 +114,8 @@ def verify_vogel_condition(h, X: Ideal, J: Ideal) -> tuple[bool, int | None]:
     """Check the inductive cut condition for given elements h_1..h_k of J:
     each partial family must cut the off-J locus properly.  Returns
     (True, None) or (False, first failing k)."""
-    ring = X.ring
-    h = [p if isinstance(p, Polynomial) else ring.parse(p) for p in h]
+    h = X.ring.polys(h)
     for p in h:
-        if p.ring != ring:
-            raise InputError("elements from a different ring")
         if not J.contains(p):
             raise InputError("h must consist of elements of J")
     _, bad = _certify(h, X.saturate(J), J, X.krull_dimension())
@@ -186,13 +183,7 @@ def vogel_run(X: Ideal, sequence: VogelSequence) -> VogelRun:
 
 
 def _translated(f, X: Ideal, point: AffinePoint | None):
-    if isinstance(f, (Polynomial, str)):
-        f = (f,)
-    f = [p if isinstance(p, Polynomial) else X.ring.parse(p) for p in f]
-    for p in f:
-        if p.ring != X.ring:
-            raise InputError("generators from a different ring")
-    return [p.translate(point) for p in f], X.translate(point)
+    return [p.translate(point) for p in X.ring.polys(f)], X.translate(point)
 
 
 def run_trials(

@@ -158,6 +158,27 @@ def test_check_failure_exit(tmp_path, capsys):
     assert fail["got"] == {"dim": 1}
 
 
+def test_check_lets_each_line_keep_its_own_flags(tmp_path, monkeypatch):
+    # check's flags go before the line's, so --trials=1 and its abbreviation
+    # run one trial, and a line without flags runs check's seed and trials
+    f = tmp_path / "flags.prob"
+    one = '{"trial_vectors": [[0, 0, 6]]}'
+    f.write_text(
+        "ring x y\nideal A: x^2, y^3\npoint O: 0, 0\n"
+        f"expect segre --ideal A --point O --trials=1 == {one}\n"
+        f"expect segre --ideal A --point O --tri 1 == {one}\n"
+        'expect segre --ideal A --point O == {"values": [0, 0, 6]}\n'
+    )
+    seen = []
+    for cmd, fn in list(COMMANDS.items()):
+        monkeypatch.setitem(
+            COMMANDS, cmd, lambda p, ns, fn=fn: seen.append((ns.seed, ns.trials)) or fn(p, ns)
+        )
+    doc, _, code = run(["check", "--seed", "5", "--trials", "2", str(f)])
+    assert code == 0 and doc["result"]["failures"] == []
+    assert seen == [(5, 2), (5, 1), (5, 1), (5, 2)]  # the first is check itself
+
+
 def test_check_passes_on_corpus_file(capsys):
     doc, code = _json_doc(["check", CUSP], capsys)
     assert code == 0

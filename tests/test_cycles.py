@@ -419,6 +419,12 @@ def test_implicitize_arity_check():
         implicitize(["t", "t^2"], P, R3)
 
 
+def test_implicitize_rejects_components_from_another_ring():
+    # components from the target ring would pass substitution by name
+    with pytest.raises(InputError, match="different ring"):
+        implicitize([R2.parse("x"), R2.parse("y")], Ring(["t"]), R2)
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(-3, 3), st.integers(-3, 3))
 def test_shifted_transverse_lines(a, b):

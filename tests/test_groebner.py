@@ -84,6 +84,10 @@ def test_normal_form_exactness():
     # exact fractions survive
     r2 = normal_form(R2.parse("1/3*x^2"), gb, GREVLEX)
     assert r2 == R2.parse("1/3*y")
+    # the divisors may be given as text, as every polynomial input may
+    assert normal_form(p, ["x^2 - y"]) == normal_form(p, "x^2 - y") == r
+    with pytest.raises(InputError, match="polynomial from a different ring"):
+        normal_form(p, [R3.parse("x")])
 
 
 def test_exact_div():
@@ -751,12 +755,43 @@ def test_saturation_keeps_no_lifted_base_alive(monkeypatch):
     I = Ideal(R3, ["x*y - z^2", "x^2 - y"])
     mine = weakref.ref(I)
     S = I.saturate_poly(R3.parse("x"))
-    # the lifted base and the sum seeded from it are gone; only S is left
-    assert len(made) == 3
+    # the lifted rows go straight to the completion: S is the one ideal made
+    assert len(made) == 1
     assert [r() for r in made if r() is not None] == [S]
     del I
     assert mine() is None
     assert S == Ideal(R3, ["x*y - z^2", "x^2 - y"])
+
+
+def test_eliminations_build_no_ring_of_their_own(monkeypatch):
+    # saturations, intersections and eliminations all complete the lifted or
+    # permuted rows directly; only the projected ring is new
+    def refuse(*args, **kwargs):
+        raise AssertionError("extended a ring")
+
+    monkeypatch.setattr(Ring, "extend", refuse)
+    gens = ["x^2*y - z^3", "x*z^2 - y^2*z"]
+    I = Ideal(R3, gens)
+    assert I.saturate_poly(R3.parse("x")).canonical_strings() == [
+        "x^3*z^2 - y*z^4", "x^2*y - z^3", "y^3 - x*y*z", "y^2*z - x*z^2"
+    ]  # fmt: skip
+    assert I.saturate(Ideal(R3, ["x", "y"])).canonical_strings() == [
+        "x^3*z^2 - y*z^4", "x^2*y - z^3", "y^2*z - x*z^2"
+    ]  # fmt: skip
+    assert Ideal(R3, gens).intersect(Ideal(R3, ["z"])).canonical_strings() == [
+        "x^3*z^2 - y*z^4", "x^2*y*z - z^4", "y^2*z - x*z^2"
+    ]  # fmt: skip
+    for i, (names, basis) in enumerate(
+        [(("y", "z"), "y^5*z - z^6"), (("x", "z"), "x^5*z^2 - z^7"), (("x", "y"), "x^7*y - x^2*y^6")]
+    ):
+        E = Ideal(R3, gens).eliminate([i])
+        assert E.ring.names == names and E.canonical_strings() == [basis]
+
+
+@pytest.mark.parametrize("bad", ["a", 0.5, None, -1, 3])
+def test_eliminate_rejects_a_bad_index(bad):
+    with pytest.raises(InputError, match="no variable with index"):
+        Ideal(R3, ["y - x^2"]).eliminate([0, bad])
 
 
 @st.composite

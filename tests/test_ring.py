@@ -52,6 +52,19 @@ def test_ring_extend_front_and_back():
         R2.extend(["x"])
 
 
+def test_polys_coerces_one_polynomial_its_text_or_a_list():
+    x = R2.parse("x")
+    assert R2.polys(x) == (x,)
+    assert R2.polys("x + y") == (R2.parse("x + y"),)
+    assert R2.polys(["y", x]) == R2.polys(iter([R2.parse("y"), "x"])) == (R2.parse("y"), x)
+    assert R2.polys(()) == ()
+    for bad in (3, None, [3], ["y", 2.5]):
+        with pytest.raises(InputError, match="not a polynomial"):
+            R2.polys(bad)
+    with pytest.raises(InputError, match="polynomial from a different ring"):
+        R2.polys(["y", Ring(["x"]).parse("x")])
+
+
 def test_from_terms_drops_zeros_and_checks_arity():
     p = R2.from_terms({(1, 0): Fraction(1), (0, 1): Fraction(0)})
     assert str(p) == "x"

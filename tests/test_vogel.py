@@ -195,6 +195,17 @@ def test_verify_vogel_condition_membership():
     J = Ideal(R2, ["x"])
     with pytest.raises(InputError):
         verify_vogel_condition(["y"], X, J)
+    with pytest.raises(InputError, match="polynomial from a different ring"):
+        verify_vogel_condition([U3.parse("x1")], X, J)
+    # one text is one element, not a string of one-character elements
+    assert verify_vogel_condition("x*y", X, J) == (True, None)
+
+
+def test_trial_generators_are_polynomials_of_the_space_ring():
+    with pytest.raises(InputError, match="int is not a polynomial"):
+        segre_at(3, Ideal(R2, ()))
+    with pytest.raises(InputError, match="polynomial from a different ring"):
+        segre_at([U3.parse("x1")], Ideal(R2, ()))
 
 
 @settings(max_examples=10, deadline=None)
