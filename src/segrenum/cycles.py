@@ -6,10 +6,12 @@ one keeps the original variable names and block j maps v -> w_v + eta_j_v, so
 the diagonal ideal is spanned by the eta variables.  Products walk every
 combination of one part per cycle (``_part_products``): each combination is
 moved to the point, built and linearly reduced once, with the diagonal forms
-carried along, and combinations with an empty part are skipped.  The shears
-of the diagonal cuts act on those reduced forms, since substitution is
-linear.  Every reduction step is recorded so component ideals can be mapped
-back to the original coordinates.
+carried along, and combinations with an empty part are skipped.  Only that
+reduction is recorded, so ideals on the reduced ring can be mapped back to the
+original coordinates.  A proper intersection is the meet of the product and
+the diagonal forms; the diagonal cuts only certify it, one form at a time on
+the reduced ring, under the identity or a random invertible shear of the
+forms.
 """
 
 from __future__ import annotations
@@ -267,38 +269,26 @@ def _shears(count: int, rng: random.Random, retries: int):
         yield mat
 
 
-def _cut_combo(prod: _Product, seed: int):
-    """Iterated diagonal cuts on one product; returns the final Ideal on the
-    reduced ring together with the whole trail, or None when the intersection
-    is empty."""
+def _cut_combo(prod: _Product, seed: int) -> None:
+    """Certify the diagonal cuts of one product under the first shear that
+    passes: each form lies in no component of the cuts before it and drops
+    the dimension by one.  GenericityError when no shear passes."""
     # integer-derived stream, decoupled from the Vogel draws for the same seed
     rng = random.Random(seed * 0x9E3779B97F4A7C15 + 0x5EA8)
     failures = []
     for mat in _shears(len(prod.eta), rng, SHEAR_RETRIES):
-        cur, trail, dim = prod.space, prod.trail, prod.dim
-        forms = list(prod.eta) if mat is None else [_combos(prod.eta, row, cur.ring) for row in mat]
-        while forms:
-            form, *forms = forms
-            if form.is_zero():
-                # the cut already follows from earlier substitutions
-                if cur.krull_dimension() != dim - 1:
-                    failures.append("degenerate form")
-                    break
-            else:
-                if cur.saturate_poly(form) != cur:
-                    failures.append("component inside the divisor")
-                    break
-                sub = linear_reduce(cur.ring, [*cur.gens, form], aux=forms)
-                cur, trail, forms = Ideal(sub.ring, sub.gens), trail + sub.trail, sub.aux
-                d = cur.krull_dimension()
-                if d == -1:
-                    return None
-                if d != dim - 1:
-                    failures.append(f"cut dropped dimension to {d}")
-                    break
-            dim -= 1
+        cur, dim = prod.space, prod.dim
+        forms = prod.eta if mat is None else [_combos(prod.eta, row, cur.ring) for row in mat]
+        for form in forms:
+            if form.is_zero() or cur.saturate_poly(form) != cur:
+                failures.append("component inside the divisor")
+                break
+            cur, dim = cur + (form,), dim - 1
+            if cur.krull_dimension() != dim:
+                failures.append(f"cut dropped dimension to {cur.krull_dimension()}")
+                break
         else:
-            return cur, trail
+            return
     raise GenericityError(
         f"no shear passed the cut checks: {failures[-SHEAR_RETRIES:]}"
     )
@@ -349,11 +339,11 @@ def proper_intersect(
 ) -> ProperIntersection:
     """Proper intersection product of two or more cycles.
 
-    Each combination of parts is intersected by iterated divisor cuts with
-    the diagonal generators (sheared when the checks demand it); the result
-    is a cycle on the common ring together with its local multiplicity at
-    the point.  Raises ImproperIntersectionError when a combination meets
-    in excess dimension.
+    Each combination of parts contributes its meet with the diagonal, once
+    iterated divisor cuts by the diagonal forms (sheared when the checks
+    demand it) certify it; the result is a cycle on the common ring together
+    with its local multiplicity at the point.  Raises
+    ImproperIntersectionError when a combination meets in excess dimension.
     """
     ring, products = _part_products(cycles)
     out_parts = []
@@ -362,21 +352,17 @@ def proper_intersect(
         # diagonal keeps all its (r - 1) * n forms and codimension
         expected = prod.dim - len(prod.eta)
         # the substitutions are isomorphisms, so the reduced ring gives the dimension
-        d_actual = (prod.space + prod.eta).krull_dimension()
+        meet = prod.space + prod.eta
+        d_actual = meet.krull_dimension()
         if d_actual > max(expected, -1):
             raise ImproperIntersectionError(
                 f"components meet in dimension {d_actual}, proper is {expected}"
             )
         if d_actual == -1:
             continue
-        hit = _cut_combo(prod, seed)
-        if hit is None:
-            continue
-        final, trail = hit
-        back = _to_base(trail, final, ring)
-        if back.is_unit():
-            continue
-        out_parts.append((back, coeff))
+        _cut_combo(prod, seed)
+        # the map back is an isomorphism of quotients, so a nonempty meet stays nonempty
+        out_parts.append((_to_base(prod.trail, meet, ring), coeff))
     result = CycleRep(ring, tuple(out_parts))
     mult = cycle_local_mult(result, point) if point is not None else None
     return ProperIntersection(result, mult)

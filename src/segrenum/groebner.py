@@ -499,14 +499,10 @@ class Ideal:
                 raise InputError(f"no variable with index {i!r}")
         drop = sorted(set(drop))
         keep = [i for i in range(self.ring.arity) if i not in drop]
-        nd = len(drop)
-        if drop == list(range(nd)):
-            rows = self._rows(block_order(nd))
-        else:
-            perm = drop + keep  # position p of the permuted terms holds old var perm[p]
-            gens = [{tuple(e[i] for i in perm): c for e, c in z.items()} for z in self._zgens()]
-            rows = _reduced_groebner(gens, block_order(nd))
-        return _eliminated(Ring(tuple(self.ring.names[i] for i in keep)), rows, nd)
+        perm = drop + keep  # position p of the permuted terms holds old var perm[p]
+        gens = [{tuple(e[i] for i in perm): c for e, c in z.items()} for z in self._zgens()]
+        rows = _reduced_groebner(gens, block_order(len(drop)))
+        return _eliminated(Ring(tuple(self.ring.names[i] for i in keep)), rows, len(drop))
 
     # -- numeric invariants ------------------------------------------------------
 

@@ -158,7 +158,7 @@ def colength(ideal: Ideal, point: AffinePoint | None = None) -> int:
     """
     at = ideal.translate(point)
     hd = at.hilbert_data()
-    if hd.dimension != 0:
+    if hd.dimension > 0:
         raise InputError(
             f"colength is infinite: the quotient has dimension {hd.dimension}"
         )

@@ -96,14 +96,6 @@ class Ring:
         e[i] = 1
         return Polynomial(self, {tuple(e): Fraction(1)})
 
-    def extend(self, extra: Iterable[str], front: bool = False) -> "Ring":
-        """A ring with additional variables appended (or prepended)."""
-        extra = tuple(extra)
-        clash = set(extra) & set(self.names)
-        if clash:
-            raise InputError(f"variable names already in ring: {sorted(clash)}")
-        return Ring(extra + self.names if front else self.names + extra)
-
     def from_terms(self, terms: Mapping[tuple, Fraction]) -> "Polynomial":
         return Polynomial(self, terms)
 

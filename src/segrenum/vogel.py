@@ -12,7 +12,8 @@ minimum of the trial vectors over certified sequences; polar multiplicities
 are the same minimum taken over the off-part vectors.  ``_lex_min`` is the one
 place the reported trial and its stability are chosen.  A sequence is
 certified when, for every k >= 1, I_k^off = (I_X + (h_1..h_k)) : (f)^inf is
-the unit ideal or has dimension exactly n - k; the runs reuse these I_k^off.
+the unit ideal or has dimension exactly n - k; the runs reuse these I_k and
+I_k^off.
 
 Runs are pure functions of (f, X, point, trials, seed, bound): while the CLI
 runs a command on a loaded problem, equal ``run_trials`` calls share runs
@@ -51,6 +52,7 @@ class VogelSequence:
     alpha: tuple[tuple[int, ...], ...]
     elements: tuple[Polynomial, ...]
     off: tuple[Ideal, ...] = field(compare=False, repr=False)  # I_0^off..I_n^off
+    sums: tuple[Ideal, ...] = field(compare=False, repr=False)  # I_1..I_n
 
 
 @dataclass(frozen=True)
@@ -98,16 +100,18 @@ def _combos(f: list[Polynomial], alpha_row, ring) -> Polynomial:
     return h
 
 
-def _certify(h: list[Polynomial], off0: Ideal, fid: Ideal, n: int) -> tuple[tuple[Ideal, ...], int | None]:
-    """The chain from off_0 = X : fid^inf (dim X = n), off_k = (off_{k-1} + (h_k)) : fid^inf,
-    up to the first k whose off_k is neither (1) nor of dimension n - k; that k or None."""
-    chain = [off0]
+def _certify(h: list[Polynomial], off0: Ideal, fid: Ideal, n: int):
+    """The sums I_k = off_{k-1} + (h_k) and the chain from off_0 = X : fid^inf
+    (dim X = n), off_k = I_k : fid^inf, up to the first k whose off_k is
+    neither (1) nor of dimension n - k; (sums, chain, that k or None)."""
+    sums, chain = [], [off0]
     for k, p in enumerate(h, start=1):
-        off = (chain[-1] + (p,)).saturate(fid)
+        sums.append(chain[-1] + (p,))
+        off = sums[-1].saturate(fid)
         chain.append(off)
         if not off.is_unit() and off.krull_dimension() != n - k:
-            return tuple(chain), k
-    return tuple(chain), None
+            return tuple(sums), tuple(chain), k
+    return tuple(sums), tuple(chain), None
 
 
 def verify_vogel_condition(h, X: Ideal, J: Ideal) -> tuple[bool, int | None]:
@@ -118,7 +122,7 @@ def verify_vogel_condition(h, X: Ideal, J: Ideal) -> tuple[bool, int | None]:
     for p in h:
         if not J.contains(p):
             raise InputError("h must consist of elements of J")
-    _, bad = _certify(h, X.saturate(J), J, X.krull_dimension())
+    *_, bad = _certify(h, X.saturate(J), J, X.krull_dimension())
     return bad is None, bad
 
 
@@ -129,15 +133,17 @@ def random_vogel_sequence(
     bound: int = DEFAULT_BOUND,
 ) -> VogelSequence:
     """Draw integer coefficient rows in [-bound, bound] until certified."""
+    if not isinstance(bound, int) or bound < 1:
+        raise InputError(f"the coefficient bound must be an integer of at least 1, not {bound!r}")
     ring = X.ring
     n = X.krull_dimension()
     if n < 0:
         raise InputError("the space ideal is the unit ideal")
-    f = list(f)
+    f = ring.polys(f)
     nonzero = [p for p in f if not p.is_zero()]
     if not nonzero:
-        off = (Ideal(ring, (ring.one(),)),) * (n + 1)  # no point lies off V(0)
-        return VogelSequence(((0,) * len(f),) * n, (ring.zero(),) * n, off)
+        unit = Ideal(ring, (ring.one(),))  # no point lies off V(0)
+        return VogelSequence(((0,) * len(f),) * n, (ring.zero(),) * n, (unit,) * (n + 1), (unit,) * n)
     fid = Ideal(ring, nonzero)
     off0 = X.saturate(fid)
     last_bad = None
@@ -148,9 +154,9 @@ def random_vogel_sequence(
         h = [_combos(f, row, ring) for row in alpha]
         if any(p.is_zero() for p in h):
             continue
-        chain, bad = _certify(h, off0, fid, n)
+        sums, chain, bad = _certify(h, off0, fid, n)
         if bad is None:
-            return VogelSequence(alpha, tuple(h), chain)
+            return VogelSequence(alpha, tuple(h), chain, sums)
         last_bad = bad
     raise GenericityError(
         f"no certified Vogel sequence in {CERT_RETRIES} draws (failing codim {last_bad})"
@@ -170,10 +176,7 @@ def vogel_run(X: Ideal, sequence: VogelSequence) -> VogelRun:
     """Run the cycle construction for one sequence; everything at the origin."""
     n = len(sequence.elements)
     steps: list[VogelStep] = []
-    cur = X
-    for k, off in enumerate(sequence.off):
-        if k > 0:
-            cur = steps[-1].off + (sequence.elements[k - 1],)
+    for k, (cur, off) in enumerate(zip((X, *sequence.sums), sequence.off)):
         ld, mult = _step_mass(cur, n - k, k, "")
         old, off_mult = _step_mass(off, n - k, k, " off-part")
         steps.append(
@@ -195,10 +198,8 @@ def run_trials(
     bound: int = DEFAULT_BOUND,
 ) -> list[VogelRun]:
     """Certified runs for consecutive draws of one seeded stream."""
-    if trials < 1:
-        raise InputError("trials must be at least 1")
-    if bound < 1:
-        raise InputError("the coefficient bound must be at least 1")
+    if not isinstance(trials, int) or trials < 1:
+        raise InputError(f"trials must be an integer of at least 1, not {trials!r}")
     ft, Xt = _translated(f, X, point)
     memo = _memo
     if memo is not None:
@@ -292,7 +293,7 @@ def fixed_support(f, X, point=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, bo
     V(F_k) still has dimension dim X - k, moving when the intersection drops
     dimension (or is empty while some trial had mass).
     """
-    if trials < 2:
+    if isinstance(trials, int) and trials < 2:  # run_trials rejects the rest
         raise InputError("fixed/moving classification needs at least 2 trials")
     runs = run_trials(f, X, point, trials, seed, bound)
     back = None if point is None else point.negate()
@@ -333,7 +334,7 @@ def point_part(f, X, point=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, bound
     note; a fixed support of intermediate dimension is ambiguous and raises
     UnresolvedMovingSupportError.
     """
-    if trials < 2:
+    if isinstance(trials, int) and trials < 2:  # run_trials rejects the rest
         raise InputError("point-part needs at least 2 trials")
     res = segre_at(f, X, point, trials, seed, bound)
     e, runs = res.values, res.runs

@@ -185,7 +185,7 @@ def test_criterion_08_embedding_shifts():
         instances.append((f"ci-{a}-{b}", [f"x^{a}", f"y^{b}"], Ideal(R2, ())))
     for label, f, X in instances:
         e = segre_at(f, X, trials=2, seed=8).values
-        Rw = X.ring.extend(["w"])
+        Rw = Ring([*X.ring.names, "w"])
         Xw = Ideal(Rw, [str(g) for g in X.gens])
         # fresh variable joined to the tuple: the whole profile shifts down
         appended = segre_at(list(f) + ["w"], Xw, trials=2, seed=8).values

@@ -225,6 +225,13 @@ def test_huge_degree_is_input_error(gen, tmp_path, capsys):
     assert "exceeds the limit" in capsys.readouterr().err
 
 
+def test_colength_of_the_unit_ideal_is_input_error(tmp_path, capsys):
+    f = tmp_path / "unit.prob"
+    f.write_text("ring x y\nideal U: x, x + 1\n")
+    assert main(["colength", "--ideal", "U", str(f)]) == 2
+    assert "the point is not on V(I)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "gen, argv",
     [

@@ -135,11 +135,11 @@ def test_three_coordinate_planes():
 
 @pytest.mark.parametrize("skip_identity", [False, True], ids=["then-identity", "then-random"])
 @pytest.mark.parametrize(
-    "ring, gens, cuts",
-    [(R2, ["x", "y"], 2), (R2, ["y - x^2", "y"], 2), (R3, ["x1", "x2", "x3"], 6)],
+    "ring, gens",
+    [(R2, ["x", "y"]), (R2, ["y - x^2", "y"]), (R3, ["x1", "x2", "x3"])],
     ids=["transverse-lines", "tangent-curve-and-line", "three-planes"],
 )
-def test_rejected_shear_costs_no_reduction(ring, gens, cuts, skip_identity, monkeypatch):
+def test_rejected_shear_costs_no_reduction(ring, gens, skip_identity, monkeypatch):
     parts = [CycleRep.from_ideal(Ideal(ring, [g])) for g in gens]
     origin = AffinePoint(ring, (0,) * ring.arity)
     plain = proper_intersect(parts, point=origin)
@@ -148,7 +148,7 @@ def test_rejected_shear_costs_no_reduction(ring, gens, cuts, skip_identity, monk
 
     def shears(count, rng, retries):
         drawn.append("zero")
-        yield [[0] * count for _ in range(count)]  # every form degenerate
+        yield [[0] * count for _ in range(count)]  # every form zero
         stream = real_shears(count, rng, retries)
         if skip_identity:
             next(stream)
@@ -165,7 +165,29 @@ def test_rejected_shear_costs_no_reduction(ring, gens, cuts, skip_identity, monk
     out = proper_intersect(parts, point=origin)
     assert (out.cycle, out.mult) == (plain.cycle, plain.mult)
     assert len(drawn) == 2  # the zero matrix was rejected, the next shear passed
-    assert len(reductions) == 1 + cuts  # one for the product, one per cut
+    assert len(reductions) == 1  # the product's: the cuts certify on its ring
+
+
+def test_the_cycle_is_the_meet_and_the_cuts_only_certify(monkeypatch):
+    parts = [CycleRep.from_ideal(Ideal(R3, [g])) for g in ("x1 - x2^2", "x1", "x3")]
+    origin = AffinePoint(R3, (0, 0, 0))
+    plain = proper_intersect(parts, point=origin)
+    real_product, certified = cycles._product, []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reduced after the product")
+
+    def product(*args, **kwargs):
+        prod = real_product(*args, **kwargs)
+        monkeypatch.setattr(cycles, "linear_reduce", refuse)
+        certified.append(cycles._cut_combo(prod, 7))
+        return prod
+
+    monkeypatch.setattr(cycles, "_product", product)
+    out = proper_intersect(parts, point=origin)
+    assert (out.cycle, out.mult) == (plain.cycle, plain.mult)
+    assert certified == [None]
+    assert out.mult == 2 and out.cycle.parts == ((Ideal(R3, ["x1", "x2^2", "x3"]), 1),)
 
 
 def test_improper_rejected():

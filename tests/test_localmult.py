@@ -195,8 +195,11 @@ def test_colength_requires_finite():
 
 
 def test_colength_requires_origin_on_variety():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="the point is not on V"):
         colength(Ideal(R2, ["x - 1", "y"]))
+    # R/(1) = 0: the quotient is not infinite, the point is off the empty V(1)
+    with pytest.raises(InputError, match="the point is not on V"):
+        colength(Ideal(R2, ["1"]))
 
 
 def test_colength_is_global_staircase_count():

@@ -37,19 +37,7 @@ def test_variable_count_limit(monkeypatch):
     names = [f"x{i}" for i in range(MAX_VARS + 1)]
     with pytest.raises(InputError, match=f"{MAX_VARS + 1} variables exceed the limit {MAX_VARS}"):
         Ring(names)
-    full = Ring(names[:-1])
-    assert full.arity == MAX_VARS
-    with pytest.raises(InputError, match=f"exceed the limit {MAX_VARS}"):
-        full.extend(["t"], front=True)
-
-
-def test_ring_extend_front_and_back():
-    ext = R2.extend(["t"], front=True)
-    assert ext.names == ("t", "x", "y")
-    ext2 = R2.extend(["t"])
-    assert ext2.names == ("x", "y", "t")
-    with pytest.raises(InputError):
-        R2.extend(["x"])
+    assert Ring(names[:-1]).arity == MAX_VARS
 
 
 def test_polys_coerces_one_polynomial_its_text_or_a_list():

@@ -179,15 +179,40 @@ def test_vogel_run_reads_the_certified_chain(monkeypatch):
     # off_k = (off_{k-1} + h_k) : f^inf equals (X + h_1..h_k) : f^inf
     for k, off in enumerate(seq.off):
         assert off == (X + seq.elements[:k]).saturate(fid)
+    # I_k = off_{k-1} + (h_k)
+    assert len(seq.sums) == len(seq.elements)
+    for k, I in enumerate(seq.sums, start=1):
+        assert I == seq.off[k - 1] + (seq.elements[k - 1],)
     assert verify_vogel_condition(["x", "x"], Ideal(R2, ()), Ideal(R2, ["x", "y"])) == (False, 2)
     expected = vogel_run(X, seq)
 
-    def no_saturation(self, other):
-        raise AssertionError("vogel_run saturated an ideal")
+    def refuse(self, other):
+        raise AssertionError("vogel_run built an ideal of its own")
 
-    monkeypatch.setattr(Ideal, "saturate", no_saturation)
+    monkeypatch.setattr(Ideal, "saturate", refuse)
+    monkeypatch.setattr(Ideal, "__add__", refuse)
     run = vogel_run(X, seq)
     assert run.mult_z == expected.mult_z and run.mult_off == expected.mult_off
+    assert [s.ideal for s in run.steps] == [X, *seq.sums]
+
+
+def test_vogel_trial_inputs_are_validated():
+    f = [T3.parse(p) for p in SCALED_PLANE]
+    X = Ideal(T3, ())
+    assert random_vogel_sequence(SCALED_PLANE, X, random.Random(7)) == random_vogel_sequence(
+        f, X, random.Random(7)
+    )
+    with pytest.raises(InputError, match="polynomial from a different ring"):
+        random_vogel_sequence([R2.parse("x")], X, random.Random(7))
+    with pytest.raises(InputError, match="trials must be an integer"):
+        segre_at(SCALED_PLANE, X, trials="3")
+    with pytest.raises(InputError, match="coefficient bound must be an integer"):
+        segre_at(SCALED_PLANE, X, bound=2.5)
+    with pytest.raises(InputError, match="coefficient bound must be an integer"):
+        random_vogel_sequence(SCALED_PLANE, X, random.Random(7), bound=0)
+    for check in (fixed_support, point_part):
+        with pytest.raises(InputError, match="trials must be an integer"):
+            check(SCALED_PLANE, X, trials="3")
 
 
 def test_verify_vogel_condition_membership():
