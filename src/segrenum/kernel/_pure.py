@@ -14,12 +14,15 @@ an exponent that is not yet a term; stale entries (terms that cancelled or
 moved to the remainder) are popped and dropped until the top is still a
 term.  Each step still takes the largest remaining term, as a full rescan
 would, so remainders, multipliers and dict orders are those of the rescan.
+``mora_nf`` keeps its reducers stably sorted by ecart, so its first divisor is
+the least-ecart one, earliest on ties, that the compiled twin's scan picks.
 Exponent arithmetic maps ``operator`` functions over the tuples.
 """
 
+from bisect import insort
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add, ge, neg, sub
+from operator import add, ge, itemgetter, neg, sub
 
 
 def cmp_exp(a, b, code, block):
@@ -248,16 +251,18 @@ def spoly(f, lf, cf, g, lg, cg, code, block):
 def mora_nf(p, basis, code, block, limit=0):
     """Mora weak normal form for local orders.
 
-    basis is a list of (lead_exp, lead_coeff, ecart, term_dict).  The reducer
-    set may temporarily grow by intermediate results (the ecart trick), which
-    is what makes the loop terminate for non-well-orders.  Returns a primitive
+    basis is a list of (lead_exp, lead_coeff, ecart, term_dict).  Each lead
+    is cancelled by its divisor of least ecart, the earliest on ties: the
+    first in a stably ecart-sorted copy of the rows, which may grow by
+    intermediate results (the ecart trick, each after the rows of its ecart)
+    so that the loop terminates for non-well-orders.  Returns a primitive
     remainder dict whose lead is not divisible by any basis lead (or {}).
 
     A nonzero ``limit`` caps the reduction steps; when exceeded, returns None
     so the caller can fall back to a homogenization-based computation.
     """
     key = _key(code, block)
-    T = list(basis)
+    T = sorted(basis, key=itemgetter(2))
     h = make_primitive(dict(p))
     heap = [(key(e), e) for e in h]
     heapify(heap)
@@ -267,16 +272,15 @@ def mora_nf(p, basis, code, block, limit=0):
         if limit and steps > limit:
             return None
         e = _pop_lead(h, heap)
-        best = None
-        for entry in T:
-            if all(map(ge, e, entry[0])):
-                if best is None or entry[2] < best[2]:
-                    best = entry
-        if best is None:
+        for best in T:
+            if all(map(ge, e, best[0])):
+                break
+        else:
             return h
-        eh = max(map(sum, h)) - sum(e)
-        if best[2] > eh:
-            T.append((e, h[e], eh, dict(h)))
+        if best[2]:
+            eh = max(map(sum, h)) - sum(e)
+            if best[2] > eh:
+                insort(T, (e, h[e], eh, dict(h)), key=itemgetter(2))
         _cancel_lead(h, e, best[0], best[1], best[3], heap, key)
         h = make_primitive(h)
     return {}

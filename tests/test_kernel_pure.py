@@ -2,7 +2,8 @@
 
 ``reduce_full`` and ``mora_nf`` take each lead from a heap of order keys,
 and ``lead_exp`` takes ``min`` over the same keys.  The references below
-find every lead by rescanning the whole polynomial with ``cmp_exp``;
+find every lead by rescanning the whole polynomial with ``cmp_exp``, and
+Mora's reducer by scanning every row for the least ecart;
 results, multipliers and dict orders must agree exactly, on every order
 code, including block elimination with an empty front block and with the
 whole ring in front.  These tests run whether or not the compiled kernel
@@ -11,7 +12,7 @@ is built.
 
 from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from segrenum.kernel import _pure
@@ -180,6 +181,41 @@ def test_mora_nf_matches_the_rescanning_loop(data, n):
     gens = [_homogeneous(_poly(data.draw, n, max_size=4)) for _ in range(count)]
     basis = [_mora_entry(g) for g in gens]
     _check_mora_nf(p, basis, data.draw(st.sampled_from([0, 1, 3])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 3))
+def test_mora_nf_with_mixed_ecarts_matches_the_full_scan(data, n):
+    # reducers with terms in several degrees have positive ecarts, often tied,
+    # and reducing by them adds rows to the reducer set
+    p = _pure.make_primitive(_poly(data.draw, n, max_size=6))
+    count = data.draw(st.integers(1, 4))
+    basis = [_mora_entry(_poly(data.draw, n, max_size=3)) for _ in range(count)]
+    limit = data.draw(st.sampled_from([0, 1, 3, 20]))
+    if limit == 0:  # uncapped only where both finish within 20 steps
+        assume(_ref_mora_nf(dict(p), basis, LOCAL, 0, 20) is not None)
+        _check_mora_nf(p, basis, 20)
+    _check_mora_nf(p, basis, limit)
+
+
+def test_mora_nf_takes_the_earliest_of_the_least_ecart_divisors():
+    # x + y^3 (ecart 2), x + y and x - y (ecart 0) all divide the lead x
+    a, b, c = {(1, 0): 1, (0, 3): 1}, {(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}
+    for gens, want in (([a, b, c], {(0, 1): -1}), ([a, c, b], {(0, 1): 1})):
+        basis = [_mora_entry(g) for g in gens]
+        assert _pure.mora_nf({(1, 0): 1}, basis, LOCAL, 0) == want
+        _check_mora_nf({(1, 0): 1}, basis, 0)
+
+
+def test_an_added_reducer_goes_after_the_rows_of_its_ecart():
+    # reducing x^2*y^3 + x*y^3 by x*y + x^3 (ecart 1) adds rows of ecart 0:
+    # the lead x^4*y^2 must then go to the added row of lead x^3*y^2, not to
+    # x*y + x^3, and the lead x^3*y^3 to the input row x^3*y^3, not to the
+    # added one; either wrong choice leaves a second term
+    p = {(2, 3): 1, (1, 3): 1}
+    basis = [_mora_entry({(3, 3): 1}), _mora_entry({(1, 1): 1, (3, 0): 1})]
+    assert _pure.mora_nf(dict(p), basis, LOCAL, 0) == {(7, 0): -1}
+    _check_mora_nf(p, basis, 0)
 
 
 # the standard basis of (x^2 - y^3, x*y) under the local order; x^2 - y^3 has
