@@ -22,11 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    GenericityError,
-    ImproperIntersectionError,
-    InputError,
-)
+from .errors import GenericityError, ImproperIntersectionError, InputError
 from .groebner import Ideal
 from .localmult import local_dim_mult
 from .ring import AffinePoint, Polynomial, Ring, _check_shift, _check_terms, _power_terms
@@ -271,22 +267,24 @@ def _shears(count: int, rng: random.Random, retries: int):
 
 def _cut_combo(prod: _Product, seed: int) -> None:
     """Certify the diagonal cuts of one product under the first shear that
-    passes: each form lies in no component of the cuts before it and drops
-    the dimension by one.  GenericityError when no shear passes."""
+    passes: each form lies in no component of the cuts before it, and each
+    but the last drops the dimension by one (the last cut is the meet, whose
+    dimension the caller checks).  GenericityError when no shear passes."""
     # integer-derived stream, decoupled from the Vogel draws for the same seed
     rng = random.Random(seed * 0x9E3779B97F4A7C15 + 0x5EA8)
     failures = []
     for mat in _shears(len(prod.eta), rng, SHEAR_RETRIES):
-        cur, dim = prod.space, prod.dim
+        cur = prod.space
         forms = prod.eta if mat is None else [_combos(prod.eta, row, cur.ring) for row in mat]
-        for form in forms:
+        for i, form in enumerate(forms, start=1):
             if form.is_zero() or cur.saturate_poly(form) != cur:
                 failures.append("component inside the divisor")
                 break
-            cur, dim = cur + (form,), dim - 1
-            if cur.krull_dimension() != dim:
-                failures.append(f"cut dropped dimension to {cur.krull_dimension()}")
-                break
+            if i < len(forms):
+                cur = cur + (form,)
+                if cur.krull_dimension() != prod.dim - i:
+                    failures.append(f"cut dropped dimension to {cur.krull_dimension()}")
+                    break
         else:
             return
     raise GenericityError(
@@ -354,12 +352,11 @@ def proper_intersect(
         # the substitutions are isomorphisms, so the reduced ring gives the dimension
         meet = prod.space + prod.eta
         d_actual = meet.krull_dimension()
-        if d_actual > max(expected, -1):
-            raise ImproperIntersectionError(
-                f"components meet in dimension {d_actual}, proper is {expected}"
-            )
         if d_actual == -1:
             continue
+        if d_actual != expected:  # above: improper; below: no shear's last cut passes
+            error = ImproperIntersectionError if d_actual > expected else GenericityError
+            raise error(f"components meet in dimension {d_actual}, proper is {expected}")
         _cut_combo(prod, seed)
         # the map back is an isomorphism of quotients, so a nonempty meet stays nonempty
         out_parts.append((_to_base(prod.trail, meet, ring), coeff))

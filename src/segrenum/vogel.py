@@ -178,10 +178,9 @@ def vogel_run(X: Ideal, sequence: VogelSequence) -> VogelRun:
     steps: list[VogelStep] = []
     for k, (cur, off) in enumerate(zip((X, *sequence.sums), sequence.off)):
         ld, mult = _step_mass(cur, n - k, k, "")
-        old, off_mult = _step_mass(off, n - k, k, " off-part")
-        steps.append(
-            VogelStep(k, cur, off, ld, mult, old, off_mult, mult - off_mult)
-        )
+        # a saturation that removes nothing returns its ideal: same mass
+        old, off_mult = (ld, mult) if off is cur else _step_mass(off, n - k, k, " off-part")
+        steps.append(VogelStep(k, cur, off, ld, mult, old, off_mult, mult - off_mult))
     return VogelRun(sequence, steps)
 
 

@@ -1,5 +1,7 @@
 """Cycles, divisor cuts, proper/extended intersection products, implicitization."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from test_acceptance import budget
 from segrenum import (
     AffinePoint,
     CycleRep,
+    GenericityError,
     Ideal,
     ImproperIntersectionError,
     InputError,
@@ -188,6 +191,51 @@ def test_the_cycle_is_the_meet_and_the_cuts_only_certify(monkeypatch):
     assert (out.cycle, out.mult) == (plain.cycle, plain.mult)
     assert certified == [None]
     assert out.mult == 2 and out.cycle.parts == ((Ideal(R3, ["x1", "x2^2", "x3"]), 1),)
+
+
+_CORPUS_AND_PLANES = pytest.mark.parametrize(
+    "gens",
+    [["x1", "x2"], ["x2 - x1^2", "x2"], ["x1", "x2", "x3"]],
+    ids=["corpus-H1-H2", "corpus-Par-H2", "three-planes"],
+)
+
+
+def _products(gens):
+    _, products = cycles._part_products([CycleRep.from_ideal(Ideal(R3, [g])) for g in gens])
+    return [prod for prod, _ in products]
+
+
+@_CORPUS_AND_PLANES
+def test_the_last_cut_is_the_meet(gens):
+    # every shear is invertible, so all the cuts together are the meet of the
+    # product and the diagonal, which proper_intersect builds for its dimension
+    for prod in _products(gens):
+        meet = prod.space + prod.eta
+        for mat in itertools.islice(cycles._shears(len(prod.eta), random.Random(5), 3), 4):
+            ring = prod.space.ring
+            forms = prod.eta if mat is None else [cycles._combos(prod.eta, r, ring) for r in mat]
+            cur = prod.space
+            for form in forms:
+                cur = cur + (form,)
+            assert cur == meet
+
+
+@_CORPUS_AND_PLANES
+def test_the_cuts_build_no_sum_for_the_last_form(gens, monkeypatch):
+    for prod in _products(gens):
+        sums, real_add = [], Ideal.__add__
+        monkeypatch.setattr(Ideal, "__add__", lambda I, h: sums.append(h) or real_add(I, h))
+        cycles._cut_combo(prod, 7)
+        monkeypatch.undo()
+        assert len(sums) == len(prod.eta) - 1
+
+
+def test_a_meet_below_the_expected_dimension_is_refused():
+    # the plane x1 = 0 misses the plane x1 = 1; only the line x2 = x3 = 0 meets it
+    a = CycleRep.from_ideal(Ideal(R3, ["x1*x2", "x1*x3"]))
+    b = CycleRep.from_ideal(Ideal(R3, ["x1 - 1"]))
+    with pytest.raises(GenericityError):
+        proper_intersect([a, b])
 
 
 def test_improper_rejected():

@@ -196,6 +196,20 @@ def test_vogel_run_reads_the_certified_chain(monkeypatch):
     assert [s.ideal for s in run.steps] == [X, *seq.sums]
 
 
+def test_an_off_part_that_is_its_step_ideal_is_measured_once(monkeypatch):
+    X = Ideal(R2, ())
+    seq = random_vogel_sequence(["x", "y"], X, random.Random(7))
+    measured = []
+    real = vogel.local_dim_mult
+    monkeypatch.setattr(vogel, "local_dim_mult", lambda I: measured.append(I) or real(I))
+    run = vogel_run(X, seq)
+    # off_0 = X : (x, y)^inf and off_1 = I_1 : (x, y)^inf remove nothing
+    assert [s.off is s.ideal for s in run.steps] == [True, True, False]
+    assert measured == [X, seq.sums[0], seq.sums[1], seq.off[2]]
+    assert [(s.off_dim, s.off_mult) for s in run.steps] == [(2, 1), (1, 1), (-1, 0)]
+    assert run.mult_z == (0, 0, 1)
+
+
 def test_vogel_trial_inputs_are_validated():
     f = [T3.parse(p) for p in SCALED_PLANE]
     X = Ideal(T3, ())
