@@ -91,7 +91,10 @@ def divisor_cut(h: Polynomial, cycle: CycleRep) -> CycleRep:
 
 
 def _isolated_var(g: Polynomial, allowed, max_degree):
-    """A variable occurring exactly once in g, in a bare linear term."""
+    """A variable occurring exactly once in g, in a bare linear term; none
+    when g has a constant term, whose substitution would move the origin."""
+    if g.constant_term():
+        return None
     counts: dict[int, int] = {}
     for e in g.terms:
         for i, k in enumerate(e):

@@ -341,6 +341,15 @@ def test_tworzewski_part_away_from_point():
     far = CycleRep.from_ideal(Ideal(R3, ["x1 - 1", "x2", "x3"]))
     idx = tworzewski_index([O, far], trials=2)
     assert idx.total == 0
+    # the plane x1 = 1 misses the origin, so its product with x2 = 0 has
+    # nothing there; at (1, 0, 0) the two planes meet in a line through it
+    A, B = (CycleRep.from_ideal(Ideal(R3, [g])) for g in ("x1 - 1", "x2"))
+    origin = AffinePoint(R3, (0, 0, 0))
+    idx = tworzewski_index([A, B], point=origin, trials=2)
+    assert (idx.total, idx.by_dim) == (0, (0, 0, 0))
+    pp = tworzewski_point_part([A, B], point=origin, trials=2)
+    assert (pp.point, pp.fixed) == (0, ())
+    assert tworzewski_index([A, B], point=AffinePoint(R3, (1, 0, 0)), trials=2).total == 1
 
 
 def test_point_part_translated_instance():
