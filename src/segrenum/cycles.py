@@ -6,12 +6,13 @@ one keeps the original variable names and block j maps v -> w_v + eta_j_v, so
 the diagonal ideal is spanned by the eta variables.  Products walk every
 combination of one part per cycle (``_part_products``): each combination is
 moved to the point, built and linearly reduced once, with the diagonal forms
-carried along, and combinations with an empty part are skipped.  Only that
-reduction is recorded, so ideals on the reduced ring can be mapped back to the
-original coordinates.  A proper intersection is the meet of the product and
-the diagonal forms; the diagonal cuts only certify it, one form at a time on
-the reduced ring, under the identity or a random invertible shear of the
-forms.
+carried along, and combinations with an empty part are skipped.  Each step of
+that reduction is a linear isomorphism of quotients that fixes the origin, and
+its eliminating generators are recorded, so ideals on the reduced ring can be
+mapped back to the original coordinates.  A proper intersection is the meet of
+the product and the diagonal forms; the diagonal cuts only certify it, one
+form at a time on the reduced ring, under the identity or a random shear of
+the forms (a singular shear fails the cut checks).
 """
 
 from __future__ import annotations
@@ -90,31 +91,6 @@ def divisor_cut(h: Polynomial, cycle: CycleRep) -> CycleRep:
 # -- linear substitution reduction -------------------------------------------
 
 
-def _isolated_var(g: Polynomial, allowed, max_degree):
-    """A variable occurring exactly once in g, in a bare linear term; none
-    when g has a constant term, whose substitution would move the origin."""
-    if g.constant_term():
-        return None
-    counts: dict[int, int] = {}
-    for e in g.terms:
-        for i, k in enumerate(e):
-            if k:
-                counts[i] = counts.get(i, 0) + 1
-    for i in sorted(counts):
-        if counts[i] != 1 or (allowed is not None and i not in allowed):
-            continue
-        unit = tuple(1 if j == i else 0 for j in range(g.ring.arity))
-        if unit not in g.terms:
-            continue
-        rest_deg = max(
-            (sum(e) for e in g.terms if e != unit), default=0
-        )
-        if max_degree is not None and rest_deg > max_degree:
-            continue
-        return i, unit
-    return None
-
-
 @dataclass
 class Reduction:
     """Outcome of linear_reduce: the shrunken ring plus the back-mapping trail."""
@@ -122,49 +98,39 @@ class Reduction:
     ring: Ring
     gens: list[Polynomial]
     aux: list[Polynomial]
-    trail: list[tuple[str, Polynomial]]  # (eliminated name, replacement)
+    trail: list[Polynomial]  # the eliminating generators, each on its own ring
 
 
-def linear_reduce(ring, gens, aux=(), allowed=None, max_degree=1) -> Reduction:
-    """Substitute away variables isolated in linear terms of generators.
+def linear_reduce(ring, gens, front, aux=()) -> Reduction:
+    """Substitute away front variables isolated in linear generators.
 
-    ``allowed`` restricts which variable indices (of the original ring) may be
-    eliminated; ``max_degree`` caps the degree of the replacement expression.
-    The ``aux`` polynomials are carried along: substituted, never read.  The trail records (name, replacement) pairs in elimination order, each
-    replacement written in the ring current at that step.
+    A generator g = c*x_i + r eliminates x_i when g is linear with no
+    constant term (so x_i occurs once in g) and x_i is among the first
+    ``front`` variables of the current ring; each step is a linear
+    isomorphism of quotients that fixes the origin, and the front variables
+    left over stay first.  The ``aux`` polynomials are carried along:
+    substituted, never read.  The trail records the eliminating generators
+    in elimination order, each on the ring current at that step.
     """
     cur_ring = ring
     cur_gens = [g for g in gens if not g.is_zero()]
     cur_aux = list(aux)
-    allowed_names = (
-        None if allowed is None else {ring.names[i] for i in allowed}
-    )
-    trail: list[tuple[str, Polynomial]] = []
+    trail: list[Polynomial] = []
     while True:
-        found = None
-        names_ok = (
-            None
-            if allowed_names is None
-            else {cur_ring._index[nm] for nm in allowed_names if nm in cur_ring._index}
-        )
         for gi, g in enumerate(cur_gens):
-            hit = _isolated_var(g, names_ok, max_degree)
-            if hit is not None:
-                found = (gi, *hit)
+            unit = max(g.terms)  # the term of g's first variable
+            if all(sum(e) == 1 for e in g.terms) and unit.index(1) < front - len(trail):
                 break
-        if found is None:
+        else:
             return Reduction(cur_ring, cur_gens, cur_aux, trail)
-        gi, i, unit = found
-        g = cur_gens[gi]
-        c = g.terms[unit]
+        i = unit.index(1)
         rest = Polynomial(g.ring, {e: v for e, v in g.terms.items() if e != unit})
-        name = cur_ring.names[i]
         new_ring = Ring(cur_ring.names[:i] + cur_ring.names[i + 1 :])
-        repl = rest.scale(Fraction(-1) / c).substitute({}, new_ring)
+        repl = rest.scale(Fraction(-1) / g.terms[unit]).substitute({}, new_ring)
         for p in (*cur_gens, *cur_aux):
             # x_i^k goes to at most _power_terms(repl, k) terms
             _check_terms(sum(_power_terms(repl, e[i]) for e in p.terms))
-        trail.append((name, repl))
+        trail.append(g)
         bind = {i: repl}
         cur_gens = [
             q
@@ -182,7 +148,7 @@ def linear_reduce(ring, gens, aux=(), allowed=None, max_degree=1) -> Reduction:
 class _Product:
     """Product of the translated parts in (w, eta) coordinates, reduced once."""
 
-    trail: list[tuple[str, Polynomial]]  # from the (w, eta) ring to the reduced one
+    trail: list[Polynomial]  # from the (w, eta) ring to the reduced one
     space: Ideal  # the product on the reduced ring
     eta: list[Polynomial]  # the (r-1)*n diagonal forms on the reduced ring
     dim: int  # sum of the part dimensions
@@ -207,65 +173,29 @@ def _product(ideals, base: Ring, point: AffinePoint | None = None) -> _Product |
             _check_shift(g, bind)
             gens.append(g.substitute(bind, full))
     eta = [full.var(q) for q in range(n, full.arity)]
-    red = linear_reduce(full, gens, aux=eta)
-    space = Ideal(red.ring, red.gens)
-    if space.krull_dimension() != sum(dims):
-        raise InputError(
-            "product of parts is not pure-dimensional of the expected dimension"
-        )
-    return _Product(red.trail, space, red.aux, sum(dims), min(dims))
+    red = linear_reduce(full, gens, full.arity, aux=eta)
+    return _Product(red.trail, Ideal(red.ring, red.gens), red.aux, sum(dims), min(dims))
 
 
 def _to_base(trail, ideal: Ideal, base: Ring) -> Ideal:
-    """Map an ideal on a reduced product ring back to the base ring: restore
-    the eliminated variables from the trail, then restrict to the diagonal,
-    where every eta variable (every name outside the base ring) is zero."""
+    """Map an ideal on a reduced product ring back to the base ring: add the
+    eliminating generators of the trail, then restrict to the diagonal, where
+    every eta variable (every name outside the base ring) is zero."""
 
     def down(p: Polynomial) -> Polynomial:
         eta = {i: base.zero() for i, nm in enumerate(p.ring.names) if nm not in base._index}
         return p.substitute(eta, base)
 
-    gens = [down(g) for g in ideal.groebner()]
-    for name, repl in trail:
-        v = base.var(base._index[name]) if name in base._index else base.zero()
-        gens.append(v - down(repl))
+    gens = [down(g) for g in (*ideal.groebner(), *trail)]
     return Ideal(base, [g for g in gens if not g.is_zero()])
 
 
-def _det(mat) -> int:
-    """Exact integer determinant (fraction-free Bareiss)."""
-    m = [row[:] for row in mat]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for s in range(k + 1, n):
-                if m[s][k]:
-                    m[k], m[s] = m[s], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def _shears(count: int, rng: random.Random, retries: int):
-    """Identity first, then random invertible integer matrices."""
+    """Identity first, then random integer matrices; a singular one fails
+    the cut checks, since one of its forms is zero or in the earlier cuts."""
     yield None  # identity
     for _ in range(retries):
-        while True:
-            mat = [
-                [rng.randint(-3, 3) for _ in range(count)] for _ in range(count)
-            ]
-            if _det(mat) != 0:
-                break
-        yield mat
+        yield [[rng.randint(-3, 3) for _ in range(count)] for _ in range(count)]
 
 
 def _cut_combo(prod: _Product, seed: int) -> None:
@@ -532,14 +462,10 @@ def implicitize(components, param_ring: Ring, target_ring: Ring) -> Ideal:
     for i, gamma in enumerate(components):
         z = combined.var(np + i)
         gens.append(z - gamma.substitute({}, combined))
-    red = linear_reduce(
-        combined, gens, allowed=set(range(np)), max_degree=None
-    )
-    leftover = [
-        red.ring._index[nm] for nm in param_ring.names if nm in red.ring._index
-    ]
+    red = linear_reduce(combined, gens, np)
+    leftover = range(np - len(red.trail))
     ideal = Ideal(red.ring, red.gens)
     if leftover:
-        # the parameters come first, so what is left is the target ring
+        # the parameters left over come first, so what is left is the target ring
         ideal = ideal.eliminate(leftover)
     return Ideal._of(target_ring, ideal.groebner(), ideal._rows())

@@ -152,6 +152,8 @@ def test_rejected_shear_costs_no_reduction(ring, gens, skip_identity, monkeypatc
     def shears(count, rng, retries):
         drawn.append("zero")
         yield [[0] * count for _ in range(count)]  # every form zero
+        drawn.append("ones")
+        yield [[1] * count for _ in range(count)]  # singular: the second form is the first
         stream = real_shears(count, rng, retries)
         if skip_identity:
             next(stream)
@@ -167,7 +169,7 @@ def test_rejected_shear_costs_no_reduction(ring, gens, skip_identity, monkeypatc
     monkeypatch.setattr(cycles, "linear_reduce", reduce)
     out = proper_intersect(parts, point=origin)
     assert (out.cycle, out.mult) == (plain.cycle, plain.mult)
-    assert len(drawn) == 2  # the zero matrix was rejected, the next shear passed
+    assert len(drawn) == 3  # both singular matrices were rejected, the next shear passed
     assert len(reductions) == 1  # the product's: the cuts certify on its ring
 
 
@@ -207,7 +209,7 @@ def _products(gens):
 
 @_CORPUS_AND_PLANES
 def test_the_last_cut_is_the_meet(gens):
-    # every shear is invertible, so all the cuts together are the meet of the
+    # these shears are invertible, so all the cuts together are the meet of the
     # product and the diagonal, which proper_intersect builds for its dimension
     for prod in _products(gens):
         meet = prod.space + prod.eta
@@ -462,7 +464,7 @@ def test_linear_reduce_expands_a_power_within_budget():
     # t = z1 - a - b - c turns z2 - t^20 into C(23, 3) + 1 = 1772 terms
     ring, gens = _power_map(20)
     with budget(5):
-        red = cycles.linear_reduce(ring, gens, allowed={0, 1, 2, 3}, max_degree=None)
+        red = cycles.linear_reduce(ring, gens, 4)
     assert red.ring.names == ("c", "z1", "z2", "z3", "z4")
     assert [len(g.terms) for g in red.gens] == [1772]
 
@@ -479,7 +481,7 @@ def test_linear_reduce_rejects_a_huge_substitution(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "__pow__", small_power)
     with pytest.raises(InputError, match="exceeds the limit"):
-        cycles.linear_reduce(ring, gens, allowed={0, 1, 2, 3}, max_degree=None)
+        cycles.linear_reduce(ring, gens, 4)
 
 
 # -- implicitization -----------------------------------------------------------------
@@ -490,6 +492,27 @@ def test_implicitize_twisted_cubic():
     T = implicitize(["t", "t^2", "t^3"], P, R3)
     assert T == Ideal(R3, ["x2 - x1^2", "x3 - x1^3"])
     assert T.krull_dimension() == 1
+
+
+@pytest.mark.parametrize(
+    "params, components, target",
+    [
+        (["t"], ["t + 1", "t^2"], ["z1", "z2"]),
+        (["s", "t"], ["t + s^2", "s", "s*t"], ["z1", "z2", "z3"]),
+        (["t"], ["t", "t^2", "t^3"], ["x", "y", "z"]),
+        (["t1", "t2", "t3"], ["t1", "t2", "t3*t1", "t3*t2", "t3^2", "t3^3"],
+         ["x1", "x2", "x3", "x4", "x5", "x6"]),
+    ],
+    ids=["constant", "nonlinear", "corpus-twisted-cubic", "corpus-threefold"],
+)
+def test_implicitize_is_the_elimination_of_the_graph(params, components, target):
+    # parameters that enter with a constant or only nonlinearly are left to
+    # the elimination; the linear ones are substituted first
+    P, T = Ring(params), Ring(target)
+    graph = Ring(params + target)
+    gens = [f"{z} - ({gamma})" for z, gamma in zip(target, components)]
+    want = Ideal(graph, gens).eliminate(range(len(params)))
+    assert implicitize(components, P, T).canonical_strings() == want.canonical_strings()
 
 
 def test_implicitize_arity_check():
