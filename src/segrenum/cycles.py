@@ -118,7 +118,7 @@ def linear_reduce(ring, gens, front, aux=()) -> Reduction:
     trail: list[Polynomial] = []
     while True:
         for gi, g in enumerate(cur_gens):
-            unit = max(g.terms)  # the term of g's first variable
+            unit = max(g.terms)  # for a linear g, the term of its first variable
             if all(sum(e) == 1 for e in g.terms) and unit.index(1) < front - len(trail):
                 break
         else:
