@@ -274,7 +274,9 @@ def proper_intersect(
     iterated divisor cuts by the diagonal forms (sheared when the checks
     demand it) certify it; the result is a cycle on the common ring together
     with its local multiplicity at the point.  Raises
-    ImproperIntersectionError when a combination meets in excess dimension.
+    ImproperIntersectionError when a combination meets in excess dimension,
+    InputError when it meets below the proper dimension (a part is not
+    pure-dimensional).
     """
     ring, products = _part_products(cycles)
     out_parts = []
@@ -287,9 +289,12 @@ def proper_intersect(
         d_actual = meet.krull_dimension()
         if d_actual == -1:
             continue
-        if d_actual != expected:  # above: improper; below: no shear's last cut passes
-            error = ImproperIntersectionError if d_actual > expected else GenericityError
-            raise error(f"components meet in dimension {d_actual}, proper is {expected}")
+        if d_actual != expected:
+            msg = f"components meet in dimension {d_actual}, proper is {expected}"
+            if d_actual > expected:
+                raise ImproperIntersectionError(msg)
+            # pure-dimensional parts never meet below it (affine dimension theorem)
+            raise InputError(f"{msg}: a part is not pure-dimensional")
         _cut_combo(prod, seed)
         # the map back is an isomorphism of quotients, so a nonempty meet stays nonempty
         out_parts.append((_to_base(prod.trail, meet, ring), coeff))

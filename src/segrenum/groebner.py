@@ -295,11 +295,14 @@ class Ideal:
     build Polynomials once, when first asked.  A sum I + (h) seeds its bases
     from I's while I lives (``_base``, a weakref)."""
 
-    __slots__ = ("ring", "_src", "_gens", "_gb", "_polys", "_hilbert", "_base", "__weakref__")
+    __slots__ = (
+        "ring", "_src", "_gens", "_z", "_gb", "_polys", "_hilbert", "_base", "__weakref__"
+    )
 
     def __init__(self, ring: Ring, gens):
         self.ring = ring
         self._src = self._gens = tuple(g for g in ring.polys(gens) if not g.is_zero())
+        self._z = None
         self._gb: dict = {}
         self._polys: dict | None = None
         self._hilbert = None
@@ -324,11 +327,14 @@ class Ideal:
         return self._gens
 
     def _zgens(self, start: int = 0) -> list[dict]:
-        """The generators from start on as int term dicts."""
-        return [
-            _zpoly(g) if isinstance(g, Polynomial) else g[2] if isinstance(g, tuple) else g
-            for g in self._src[start:]
-        ]
+        """The generators from start on as int term dicts, converted once;
+        callers read the dicts and never change them."""
+        if self._z is None:
+            self._z = [
+                _zpoly(g) if isinstance(g, Polynomial) else g[2] if isinstance(g, tuple) else g
+                for g in self._src
+            ]
+        return self._z[start:]
 
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.gens) or "0"

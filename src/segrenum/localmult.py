@@ -1,12 +1,15 @@
 """Local invariants at a point: tangent cones, local dimension, multiplicity.
 
 Standard bases are computed under the local order (negative degree
-grevlex) by Mora's pair loop, ``_complete``, with the coprime and chain
-criteria and Mora's normal form.  Their local leads generate the lead
-ideal of the tangent cone, so its Hilbert data, the local dimension and
-Hilbert-Samuel multiplicity, needs no cone; ``tangent_cone`` alone takes
-lowest forms.  All of it runs on the int term dicts of the ideal's
-generators (basis rows, for a sum or a saturation).
+grevlex) by Mora's pair loop, ``_complete``, with Mora's normal form and
+the Gebauer-Moeller pair criteria (Gebauer & Moeller, J. Symb. Comput. 6,
+1988), which hold under local orders too (Greuel & Pfister, A Singular
+Introduction to Commutative Algebra, 1.7).  Their local leads generate
+the lead ideal of the tangent cone, so its Hilbert data, the local
+dimension and Hilbert-Samuel multiplicity, needs no cone;
+``tangent_cone`` alone takes lowest forms.  All of it runs on the int
+term dicts of the ideal's generators (basis rows, for a sum or a
+saturation).
 """
 
 from __future__ import annotations
@@ -49,10 +52,19 @@ def _complete(gens) -> list[dict] | None:
     far, {} when it vanishes, and None past ``MORA_STEP_LIMIT`` steps, when
     this returns None too.  Pairs (i, t), i < t, sit in a heap keyed once,
     when pushed, by (order key of the lcm of the leads, i, t): rows never
-    change, so the key stays valid.  A pair is skipped when its leads are
-    coprime or by the chain criterion: another lead divides their lcm and
-    both pairs joining it to the two have already been popped.  Returns the
-    inputs' and every new element's term dicts, in the order found.
+    change, so the key stays valid.  ``live`` maps the pending pairs to
+    their lcms, and a popped pair it no longer holds is skipped.
+
+    Pairs are pruned by the Gebauer-Moeller criteria when row t is added
+    (Becker & Weispfenning's UPDATE).  B: a pending pair goes when lead(t)
+    divides its lcm L and L is the lcm of t with neither side.  M and F: a
+    new pair (i, t) goes when an earlier kept new pair's lcm divides its
+    lcm or a later one's divides it properly, so the earliest of equal lcms
+    stays.  Product: pairs with coprime leads witness in M and F, then go.
+    The criteria rest on the syzygies of the leads alone, so they hold
+    under any monomial order (Gebauer & Moeller 1988; Greuel & Pfister,
+    1.7).  Returns the inputs' and every new element's term dicts, in the
+    order found.
     """
     K = kernel.get()
     code = LOCAL.code
@@ -65,32 +77,34 @@ def _complete(gens) -> list[dict] | None:
 
     rows = [row(z) for z in G]
     pairs: list = []
-    done: set = set()
+    live: dict = {}
 
-    def push(t):
+    def update(t):
         lt = rows[t][0]
-        for i in range(t):
-            heapq.heappush(pairs, (LOCAL.key(K.exp_lcm(rows[i][0], lt)), i, t))
-
-    def chained(i, j, L):
-        for k in range(len(rows)):
-            if k in (i, j) or not K.exp_div(L, rows[k][0]):
-                continue
-            if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
-                return True
-        return False
+        for (i, j), L in list(live.items()):
+            if K.exp_div(L, lt) and K.exp_lcm(rows[i][0], lt) != L != K.exp_lcm(rows[j][0], lt):
+                del live[i, j]
+        new = [K.exp_lcm(r[0], lt) for r in rows[:t]]
+        coprime = [L == K.exp_add(r[0], lt) for L, r in zip(new, rows)]
+        kept = []
+        for i, L in enumerate(new):
+            if coprime[i] or not (
+                any(K.exp_div(L, new[k]) for k in kept)
+                or any(M != L and K.exp_div(L, M) for M in new[i + 1 :])
+            ):
+                kept.append(i)
+        for i in kept:
+            if not coprime[i]:
+                live[i, t] = new[i]
+                heapq.heappush(pairs, (LOCAL.key(new[i]), i, t))
 
     for t in range(len(rows)):
-        push(t)
+        update(t)
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        done.add((i, j))
+        if live.pop((i, j), None) is None:
+            continue
         li, lj = rows[i][0], rows[j][0]
-        L = K.exp_lcm(li, lj)
-        if L == K.exp_add(li, lj):  # coprime leads: S-poly reduces to zero
-            continue
-        if chained(i, j, L):
-            continue
         s = K.spoly(rows[i][-1], li, rows[i][1], rows[j][-1], lj, rows[j][1], code, 0)
         if not s:
             continue
@@ -99,7 +113,7 @@ def _complete(gens) -> list[dict] | None:
             return None
         if r:
             rows.append(row(r))
-            push(len(rows) - 1)
+            update(len(rows) - 1)
     return [r[-1] for r in rows]
 
 

@@ -12,7 +12,6 @@ from test_acceptance import budget
 from segrenum import (
     AffinePoint,
     CycleRep,
-    GenericityError,
     Ideal,
     ImproperIntersectionError,
     InputError,
@@ -236,7 +235,7 @@ def test_a_meet_below_the_expected_dimension_is_refused():
     # the plane x1 = 0 misses the plane x1 = 1; only the line x2 = x3 = 0 meets it
     a = CycleRep.from_ideal(Ideal(R3, ["x1*x2", "x1*x3"]))
     b = CycleRep.from_ideal(Ideal(R3, ["x1 - 1"]))
-    with pytest.raises(GenericityError):
+    with pytest.raises(InputError, match="not pure-dimensional"):
         proper_intersect([a, b])
 
 

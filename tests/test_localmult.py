@@ -1,7 +1,7 @@
 """Local standard bases, tangent cones, multiplicities, colength."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from segrenum import (
@@ -339,3 +339,118 @@ def test_lazard_route_matches_mora_in_three_variables(polys):
     assert _cone_from(standard_basis(I._zgens()), R3) == _cone_from(
         _standard_basis_lazard(I._zgens()), R3
     )
+
+
+# -- the pair criteria ---------------------------------------------------------------
+
+
+def _is_standard_basis(basis) -> bool | None:
+    """Whether every S-polynomial of basis has Mora normal form {} against
+    basis, the criterion for a standard basis (Greuel & Pfister, 1.7).
+    Every pair is reduced, coprime leads included, so no pair criterion is
+    trusted.  None when no normal form is nonzero but one passed
+    MORA_STEP_LIMIT steps: a pair the criteria skip can take thousands."""
+    from segrenum.localmult import MORA_STEP_LIMIT
+
+    K = kernel.get()
+    rows = []
+    for z in basis:
+        le = K.lead_exp(z, LOCAL.code, 0)
+        rows.append((le, z[le], max(map(sum, z)) - sum(le), z))
+    verdict = True
+    for i, (li, ci, _, zi) in enumerate(rows):
+        for lj, cj, _, zj in rows[:i]:
+            s = K.spoly(zi, li, ci, zj, lj, cj, LOCAL.code, 0)
+            r = K.mora_nf(s, rows, LOCAL.code, 0, MORA_STEP_LIMIT) if s else {}
+            if r:
+                return False
+            if r is None:
+                verdict = None
+    return verdict
+
+
+def test_the_certificate_sees_a_missing_element():
+    # y^2 - x^3 and x*y: their S-polynomial x^4 is no multiple of either lead
+    from segrenum.localmult import standard_basis
+
+    gens = Ideal(R2, ["y^2 - x^3", "x*y"])._zgens()
+    assert _is_standard_basis(gens) is False
+    assert _is_standard_basis(standard_basis(gens)) is True
+
+
+@st.composite
+def _local_gens(draw):
+    """2 to 4 int term dicts in 2 to 4 variables with no constant term."""
+    n = draw(st.integers(2, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: 1 <= sum(e) <= 4)
+    poly = st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+    return draw(st.lists(poly, min_size=2, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_local_gens())
+def test_mora_returns_a_standard_basis(gens):
+    from segrenum.localmult import _complete
+
+    basis = _complete(gens)
+    assume(basis is not None)
+    verdict = _is_standard_basis(basis)
+    assume(verdict is not None)
+    assert verdict
+
+
+def test_mora_returns_standard_bases_on_the_image_threefold(monkeypatch):
+    import segrenum.localmult as lm
+    from segrenum.cli import corpus_path, run
+
+    bases = []
+    complete = lm._complete
+
+    def kept(gens):
+        bases.append(complete(gens))
+        return bases[-1]
+
+    monkeypatch.setattr(lm, "_complete", kept)
+    path = corpus_path("image_threefold.prob")
+    doc, _, code = run(["circ", path, "--ideal", "A", "--cycle", "Z", "--point", "O",
+                        "--trials", "1", "--seed", "4", "--format", "json"])  # fmt: skip
+    assert code == 0 and doc["result"]["by_codim"] == [0, 1, 1, 2]
+    assert len(bases) == 6
+    assert all(b is not None and _is_standard_basis(b) is True for b in bases)
+
+
+def _mora_nf_calls(monkeypatch, ring, gens):
+    """(Mora normal forms, standard basis) of _complete on the gens."""
+    from segrenum.localmult import _complete
+
+    K = kernel.get()
+    calls = []
+    mora_nf = K.mora_nf
+
+    def counted(*args):
+        calls.append(args)
+        return mora_nf(*args)
+
+    monkeypatch.setattr(K, "mora_nf", counted)
+    basis = _complete(Ideal(ring, gens)._zgens())
+    return len(calls), basis
+
+
+def test_gebauer_moeller_b_drops_a_pending_pair(monkeypatch):
+    # the pair of x*y*z + x*z^2 and x^3, pending when z is added, goes: z
+    # divides its lcm x^3*y*z, and neither x*y*z nor x^3*z equals it.
+    # Reducing it would take a second normal form
+    R3 = Ring(["x", "y", "z"])
+    count, basis = _mora_nf_calls(monkeypatch, R3, ["x*y*z + x*z^2", "x^3", "z"])
+    assert count == 1
+    assert _is_standard_basis(basis) is True
+
+
+def test_gebauer_moeller_keeps_one_of_equal_lcms(monkeypatch):
+    # the inputs' one normal form adds y*z^2, whose pairs with the two rows
+    # of lead x*y^2 share the lcm x*y^2*z^2: only the earlier is kept.
+    # Keeping both would reduce the later one too: two normal forms
+    R3 = Ring(["x", "y", "z"])
+    count, basis = _mora_nf_calls(monkeypatch, R3, ["y*z^2 - x*y^2", "x^3*z", "x*y^2"])
+    assert count == 1
+    assert len(basis) == 4 and _is_standard_basis(basis) is True
