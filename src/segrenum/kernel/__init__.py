@@ -3,10 +3,10 @@
 ``_pure`` is plain Python; ``_speed`` is a C extension compiled from the
 shipped ``_speed.c``, which Cython generates from ``_speed.pyx``.  The two
 share one API and return the same results bit for bit, on primitive
-integer-coefficient term dicts, though each finds its leads its own way.
-The build decides the backend: ``setup.py`` compiles the extension when a C
-compiler is present, and this module binds it once, at import; without it
-the pure backend is used.
+integer-coefficient term dicts, though each finds leads and divisors its
+own way.  The build decides the backend: ``setup.py`` compiles the
+extension when a C compiler is present, and this module binds it once, at
+import; without it the pure backend is used.
 """
 
 from . import _pure

@@ -16,13 +16,20 @@ term.  Each step still takes the largest remaining term, as a full rescan
 would, so remainders, multipliers and dict orders are those of the rescan.
 ``mora_nf`` keeps its reducers stably sorted by ecart, so its first divisor is
 the least-ecart one, earliest on ties, that the compiled twin's scan picks.
+``reduce_full`` scans its rows in order until, over a basis longer than the
+number of variables n, n scans have failed, which costs about what building
+a divisor index does, and n terms or more are left; the rest of the call
+reads each lead's first divisor off that index (``_divisor_index``, per
+variable the bitsets of the rows by lead exponent, bit j for row j), which
+lives for that call only.
 Exponent arithmetic maps ``operator`` functions over the tuples.
 """
 
 from bisect import insort
 from heapq import heapify, heappop, heappush
-from math import gcd
-from operator import add, ge, itemgetter, neg, sub
+from itertools import accumulate
+from math import gcd, inf
+from operator import add, ge, itemgetter, neg, or_, sub
 
 
 def cmp_exp(a, b, code, block):
@@ -180,6 +187,23 @@ def _pop_lead(h, heap):
     return e
 
 
+def _divisor_index(basis):
+    """Per variable, (bitsets, top): entry v of bitsets holds the rows (bit j
+    for basis[j]) whose lead has exponent <= v in that variable, for v below
+    top, the largest such exponent; an exponent of top or more selects every
+    row."""
+    cols = []
+    for i in range(len(basis[0][0])):
+        exps = [row[0][i] for row in basis]
+        top = max(exps)
+        col = [0] * top
+        for j, x in enumerate(exps):
+            if x < top:
+                col[x] |= 1 << j
+        cols.append((list(accumulate(col, or_)), top))
+    return cols
+
+
 def reduce_full(p, basis, code, block):
     """Fully reduce p by basis; fraction-free with multiplier tracking.
 
@@ -187,6 +211,13 @@ def reduce_full(p, basis, code, block):
     Returns (remainder_dict, mnum, mden) where remainder == (mnum/mden) * p
     modulo the ideal generated by the basis; the exact normal form is
     remainder * mden / mnum.
+
+    Each lead is cancelled by the first basis row whose lead divides it.
+    Rows are first scanned in order; once as many scans have failed as there
+    are variables, over a basis longer than that and with as many terms left,
+    the rest of the call looks the row up in ``_divisor_index``: the AND of
+    the bitsets that the lead's exponents select holds the dividing rows, and
+    its lowest bit is the first.
     """
     key = _key(code, block)
     h = dict(p)
@@ -196,14 +227,33 @@ def reduce_full(p, basis, code, block):
     mnum = 1
     mden = 1
     steps = 0
+    # the index costs about n scans: it is built once n scans have failed
+    # over a basis longer than n, if n terms or more are left to reduce
+    n = len(basis[0][0]) if basis else 0
+    scans = n if len(basis) > n else inf
+    index = None
     while h:
         e = _pop_lead(h, heap)
-        for le, lc, g in basis:
-            if all(map(ge, e, le)):
-                break
+        if index is None:
+            for le, lc, g in basis:
+                if all(map(ge, e, le)):
+                    break
+            else:
+                r[e] = h.pop(e)
+                scans -= 1
+                if scans <= 0 and len(h) >= n:
+                    index = _divisor_index(basis)
+                    full = (1 << len(basis)) - 1
+                continue
         else:
-            r[e] = h.pop(e)
-            continue
+            m = full
+            for (col, top), x in zip(index, e):
+                if x < top:
+                    m &= col[x]
+            if not m:
+                r[e] = h.pop(e)
+                continue
+            le, lc, g = basis[(m & -m).bit_length() - 1]
         a = _cancel_lead(h, e, le, lc, g, heap, key)
         if a != 1:
             for k in r:

@@ -44,6 +44,7 @@ MAX_TERMS = 100_000
 MAX_VARS = 64
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_RATIONAL_RE = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+))?\Z")
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<op>[-+*^()/]))"
 )
@@ -128,11 +129,18 @@ class Ring:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse an integer or a/b literal (signs allowed)."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational literal {text!r}") from exc
+    """Parse an integer or a/b literal, with an optional sign; each part is
+    checked by ``_literal``, so no decimal, exponent or underscore form and
+    no part of more than MAX_DIGITS digits gets through."""
+    m = _RATIONAL_RE.match(text.strip())
+    if not m:
+        raise InputError(f"bad rational literal {text!r}")
+    sign, num, den = m.groups()
+    num = _literal(num)
+    den = _literal(den) if den else 1
+    if den == 0:
+        raise InputError(f"division by zero in {text!r}")
+    return Fraction(-num if sign == "-" else num, den)
 
 
 class AffinePoint:
@@ -178,7 +186,8 @@ class Polynomial:
     def __init__(self, ring: Ring, terms: Mapping[tuple, Fraction]):
         clean = {}
         for exp, c in terms.items():
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if c == 0:
                 continue
             if len(exp) != ring.arity or any(e < 0 for e in exp):
@@ -493,20 +502,21 @@ class _Parser:
         return p
 
     def expr(self) -> Polynomial:
-        kind, val = self.peek()
-        if (kind, val) == ("op", "-"):
-            self.take()
-            p = -self.term()
-        else:
-            p = self.term()
+        """The terms fold into one running sum, with __add__'s add-or-pop
+        rule, so a sum of k terms is not rebuilt k times."""
+        out: dict = {}
+        sign = self.take()[1] if self.peek() == ("op", "-") else "+"
         while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                q = self.term()
-                p = p + q if val == "+" else p - q
-            else:
-                return p
+            for e, c in self.term().terms.items():
+                s = out.get(e, 0) + c if sign == "+" else out.get(e, 0) - c
+                if s:
+                    out[e] = s
+                else:
+                    out.pop(e, None)
+            kind, sign = self.peek()
+            if kind != "op" or sign not in "+-":
+                return Polynomial(self.ring, out)
+            self.take()
 
     def term(self) -> Polynomial:
         p = self.factor()

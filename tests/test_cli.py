@@ -207,6 +207,14 @@ def test_zero_denominator_is_input_error(tmp_path, capsys):
     assert "division by zero" in capsys.readouterr().err
 
 
+def test_point_beyond_the_literal_cap_is_input_error(tmp_path, capsys):
+    # an exponent form used to reach Fraction, and printing 10^10000 failed
+    f = tmp_path / "far.prob"
+    f.write_text("ring x y\nideal A: x^2 - y\npoint P: 1e5000, 1e10000\n")
+    assert main(["tangent-cone", str(f), "--ideal", "A", "--point", "P"]) == 2
+    assert f"{f}:3: bad rational literal" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "gen",
     [

@@ -53,6 +53,40 @@ def test_reduce_full_parity(p, gens, code):
     )
 
 
+def test_reduce_full_parity_over_the_divisor_index(monkeypatch):
+    # 6 to 12 rows exceed the 3 variables, so the pure kernel switches from
+    # its scan to the divisor index; most examples must take that path, so
+    # every lead is shifted into x*y*z, and the terms of p without one of
+    # the variables fail the scan
+    builds = []
+    real = _pure._divisor_index
+    monkeypatch.setattr(_pure, "_divisor_index", lambda basis: builds.append(1) or real(basis))
+    examples = []
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.dictionaries(_exp, _coeff, min_size=9, max_size=16),
+        st.lists(_dict, min_size=6, max_size=12),
+        st.sampled_from([GREVLEX_CODE, LEX_CODE]),
+    )
+    def check(p, gens, code):
+        before = len(builds)
+        basis = []
+        for g in gens:
+            z = _prim({tuple(x + 1 for x in e): c for e, c in g.items()})
+            le = _pure.lead_exp(z, code, 0)
+            basis.append((le, z[le], z))
+        pp = _prim(p)
+        got = _pure.reduce_full(dict(pp), basis, code, 0)
+        want = _speed.reduce_full(dict(pp), basis, code, 0)
+        assert got == want
+        assert list(got[0]) == list(want[0])
+        examples.append(len(builds) - before)
+
+    check()
+    assert sum(examples) > len(examples) / 2
+
+
 @settings(max_examples=80, deadline=None)
 @given(_dict, _dict, st.sampled_from([GREVLEX_CODE, LEX_CODE]))
 def test_spoly_parity(f, g, code):

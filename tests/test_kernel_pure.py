@@ -119,9 +119,9 @@ def _setting(draw):
     return n, code, block
 
 
-def _poly(draw, n, max_size=8):
+def _poly(draw, n, max_size=8, min_size=1):
     exps = st.tuples(*[st.integers(0, 3)] * n)
-    return draw(st.dictionaries(exps, _coeff, min_size=1, max_size=max_size))
+    return draw(st.dictionaries(exps, _coeff, min_size=min_size, max_size=max_size))
 
 
 def _homogeneous(p):
@@ -156,6 +156,98 @@ def test_reduce_full_matches_the_rescanning_loop(data, setting):
     want = _ref_reduce_full(dict(p), basis, code, block)
     assert got == want
     assert list(got[0]) == list(want[0])
+
+
+def _row(g, code, block):
+    le = _ref_lead(g, code, block)
+    return le, g[le], g
+
+
+@st.composite
+def _long_basis(draw, n, code, block):
+    """4 to 16 rows: drawn ones, ones repeating an earlier lead with another
+    tail (the earlier row must win) and monomials whose lead exceeds every
+    exponent of the drawn terms (they never divide, and keep the lookups
+    inside each variable's list)."""
+    basis = []
+    for _ in range(draw(st.integers(4, 16))):
+        kind = draw(st.sampled_from(["drawn", "repeat", "high"]))
+        if kind == "repeat" and basis:
+            le, _, g = basis[draw(st.integers(0, len(basis) - 1))]
+            g = {e: c if e == le else -c for e, c in g.items()}
+        elif kind == "high":
+            g = {tuple(draw(st.integers(4, 6)) for _ in range(n)): draw(_coeff)}
+        else:
+            g = _poly(draw, n, max_size=4)
+            if code == LOCAL:
+                g = _homogeneous(g)
+            shift = tuple(draw(st.integers(1, 2)) for _ in range(n))
+            g = {_pure.exp_add(e, shift): c for e, c in g.items()}
+        basis.append(_row(_pure.make_primitive(g), code, block))
+    return basis
+
+
+def test_reduce_full_with_a_long_basis_matches_the_rescanning_loop(monkeypatch):
+    # a basis longer than the arity n builds the divisor index once n scans
+    # have failed with n terms left; count the examples that build it
+    builds = []
+    real = _pure._divisor_index
+    monkeypatch.setattr(_pure, "_divisor_index", lambda rows: builds.append(1) or real(rows))
+    examples = []  # index builds per example
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), _setting())
+    def check(data, setting):
+        n, code, block = setting
+        # enough terms that the arity's count of scans can fail
+        p = _pure.make_primitive(_poly(data.draw, n, max_size=12, min_size=3 * n))
+        basis = data.draw(_long_basis(n, code, block))
+        before = len(builds)
+        got = _pure.reduce_full(dict(p), basis, code, block)
+        examples.append(len(builds) - before)
+        assert examples[-1] <= 1
+        want = _ref_reduce_full(dict(p), basis, code, block)
+        assert got == want
+        assert list(got[0]) == list(want[0])
+
+    check()
+    assert sum(examples) > len(examples) / 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), _setting())
+def test_reduce_full_by_an_empty_basis_sorts_the_terms(data, setting):
+    n, code, block = setting
+    p = _poly(data.draw, n)
+    got = _pure.reduce_full(dict(p), [], code, block)
+    assert got == (p, 1, 1)
+    assert list(got[0]) == list(_ref_reduce_full(dict(p), [], code, block)[0])
+
+
+def test_reduce_full_over_an_arity_0_ring():
+    # every lead divides the constant: the first row cancels it
+    basis = [((), 2, {(): 2}), ((), -3, {(): -3})]
+    got = _pure.reduce_full({(): 3}, basis, GREVLEX, 0)
+    assert got == ({}, 2, 1) == _ref_reduce_full({(): 3}, basis, GREVLEX, 0)
+    assert _pure.reduce_full({(): 3}, [], GREVLEX, 0) == ({(): 3}, 1, 1)
+    # the index of an arity-0 basis selects every row, so the first
+    assert _pure._divisor_index(basis) == []
+
+
+def test_the_divisor_index_picks_the_first_dividing_row(monkeypatch):
+    # leads x^2, y, x*y, y (again); bit j is basis[j]
+    basis = [_row(g, GREVLEX, 0) for g in ({(2, 0): 1}, {(0, 1): 1}, {(1, 1): 1}, {(0, 1): 2})]
+    assert _pure._divisor_index(basis) == [([0b1010, 0b1110], 2), ([0b0001], 1)]
+    # y^5 and x*y^4 fail the scan of x^2 + y, x^2 - y, x^2 + 1 with two terms
+    # left, which builds the index; x^3 and x^2 then go to the first row
+    builds = []
+    real = _pure._divisor_index
+    monkeypatch.setattr(_pure, "_divisor_index", lambda rows: builds.append(1) or real(rows))
+    tails = ({(0, 1): 1}, {(0, 1): -1}, {(0, 0): 1})
+    basis = [_row({(2, 0): 1, **t}, GREVLEX, 0) for t in tails]
+    got = _pure.reduce_full({(0, 5): 1, (1, 4): 1, (3, 0): 1, (2, 0): 1}, basis, GREVLEX, 0)
+    assert got == ({(0, 5): 1, (1, 4): 1, (1, 1): -1, (0, 1): -1}, 1, 1)
+    assert builds == [1]
 
 
 def _mora_entry(g):

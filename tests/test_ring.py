@@ -249,6 +249,34 @@ def test_parse_point():
         R2.parse_point("1, 2, 3")
 
 
+@pytest.mark.parametrize(
+    "text, value", [("-3/2", Fraction(-3, 2)), ("+4", 4), ("007", 7), (" 0/5 ", 0)]
+)
+def test_point_coordinates_are_integer_or_a_over_b_literals(text, value):
+    assert R2.parse_point(f"{text}, 1").coords == (value, 1)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1e3", "bad rational literal"),
+        ("0.5", "bad rational literal"),
+        ("1_000", "bad rational literal"),
+        ("- 3", "bad rational literal"),
+        ("1/", "bad rational literal"),
+        ("1/0", "division by zero"),
+        ("1e10000", "bad rational literal"),
+        ("1" * 5000, "5000 digits exceeds the limit"),
+        ("1/" + "1" * 5000, "5000 digits exceeds the limit"),
+    ],
+    ids=["exponent", "decimal", "underscore", "spaced-sign", "no-denominator", "zero-denominator",
+         "huge-exponent", "long-numerator", "long-denominator"],
+)  # fmt: skip
+def test_point_coordinates_refuse_other_forms(text, message):
+    with pytest.raises(InputError, match=message):
+        R2.parse_point(f"1, {text}")
+
+
 # -- arithmetic ------------------------------------------------------------------
 
 
@@ -330,6 +358,29 @@ def test_ring_laws(p, q, r):
 @given(_polys())
 def test_parse_str_round_trip(p):
     assert R2.parse(str(p)) == p
+
+
+# monomials with small coefficients, so that the terms of a sum often cancel,
+# and parenthesized polynomials, whose terms arrive in their printed order
+_summand = st.one_of(
+    st.builds(
+        lambda c, a, b: f"{c}*x^{a}*y^{b}", st.integers(1, 3), st.integers(0, 2), st.integers(0, 2)
+    ),
+    _polys().map(lambda p: f"({p})"),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("+-"), _summand), min_size=1, max_size=12))
+def test_parsed_sum_matches_the_pairwise_fold(summands):
+    (sign, first), rest = summands[0], summands[1:]
+    text = ("-" if sign == "-" else "") + first + "".join(f" {s} {t}" for s, t in rest)
+    want = -R2.parse(first) if sign == "-" else R2.parse(first)
+    for s, t in rest:
+        want = want + R2.parse(t) if s == "+" else want - R2.parse(t)
+    got = R2.parse(text)
+    assert got == want
+    assert list(got.terms) == list(want.terms)
 
 
 @settings(max_examples=60, deadline=None)
