@@ -129,7 +129,7 @@ def linear_reduce(ring, gens, front, aux=()) -> Reduction:
         repl = rest.scale(Fraction(-1) / g.terms[unit]).substitute({}, new_ring)
         for p in (*cur_gens, *cur_aux):
             # x_i^k goes to at most _power_terms(repl, k) terms
-            _check_terms(sum(_power_terms(repl, e[i]) for e in p.terms))
+            _check_terms(sum(_power_terms(repl.terms, e[i]) for e in p.terms))
         trail.append(g)
         bind = {i: repl}
         cur_gens = [

@@ -75,7 +75,10 @@ def _zpoly(p: Polynomial) -> dict:
 
 
 def _from_int_terms(ring: Ring, z: dict, scale=Fraction(1)) -> Polynomial:
-    return Polynomial(ring, {e: scale * c for e, c in z.items()})
+    """scale * z for an int term dict z with no zero coefficient, each
+    coefficient built as one Fraction."""
+    n, d = scale.numerator, scale.denominator
+    return Polynomial._make(ring, {e: Fraction(c * n, d) for e, c in z.items()})
 
 
 def _det_key(z: dict, order: MonomialOrder):

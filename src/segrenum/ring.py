@@ -5,13 +5,18 @@ Fractions; storage is order-agnostic, monomial orders only enter when
 printing or running division-type algorithms.  The text format accepted by
 ``Ring.parse`` (and produced by ``Polynomial.__str__``) is the one exchange
 format used everywhere: identifiers for variables, ``+ - * ^``, integer and
-``a/b`` rational literals.  Multiplication is always explicit (``2*x``, not
-``2x``); exponents are integer literals, and neither an exponent nor the
-total degree of a power or product may exceed ``MAX_DEGREE``.  No literal,
-and no coefficient a power or product could build, may have more than
-``MAX_DIGITS`` decimal digits, and no power, product or translation may
-expand to more than ``MAX_TERMS`` terms.  A ring has at most ``MAX_VARS``
-variables.
+``a/b`` rational literals of ASCII digits.  Multiplication is always explicit
+(``2*x``, not ``2x``); exponents are integer literals, and neither an
+exponent nor the total degree of a power or product may exceed
+``MAX_DEGREE``.  No literal, and no coefficient a power or product could
+build, may have more than ``MAX_DIGITS`` decimal digits, no power, product or
+translation may expand to more than ``MAX_TERMS`` terms, and no more than
+``MAX_NESTING`` parentheses may be open at once.  A ring has at most
+``MAX_VARS`` variables.
+
+The parser and the arithmetic work on term dicts and wrap the result once,
+through ``Polynomial._make``, which trusts its terms; ``Polynomial(ring,
+terms)`` checks every term.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import InputError
@@ -42,12 +48,17 @@ MAX_TERMS = 100_000
 # term carries one exponent per variable; the shipped inputs need at most 9
 # (the product space of three cycles in 3-space), no test more than 24.
 MAX_VARS = 64
+# Most parentheses open at once.  Each one is four parser frames deep, so
+# this keeps the parser far from Python's recursion limit; no shipped input
+# opens more than one.
+MAX_NESTING = 100
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RATIONAL_RE = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+))?\Z")
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<op>[-+*^()/]))"
-)
+# a token (name, ASCII integer or operator), or else the character that
+# starts no token
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|[0-9]+|[-+*^()/])|(\S))")
+_ONE = Fraction(1)
 
 
 class Ring:
@@ -81,7 +92,7 @@ class Ring:
         return f"Ring({', '.join(self.names)})"
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return Polynomial._make(self, {})
 
     def one(self) -> "Polynomial":
         return self.constant(1)
@@ -90,12 +101,12 @@ class Ring:
         c = Fraction(c)
         if c == 0:
             return self.zero()
-        return Polynomial(self, {(0,) * self.arity: c})
+        return Polynomial._make(self, {(0,) * self.arity: c})
 
     def var(self, i: int) -> "Polynomial":
         e = [0] * self.arity
         e[i] = 1
-        return Polynomial(self, {tuple(e): Fraction(1)})
+        return Polynomial._make(self, {tuple(e): _ONE})
 
     def from_terms(self, terms: Mapping[tuple, Fraction]) -> "Polynomial":
         return Polynomial(self, terms)
@@ -197,6 +208,16 @@ class Polynomial:
         self.terms = clean
         self._hash = None
 
+    @classmethod
+    def _make(cls, ring: Ring, terms: dict) -> "Polynomial":
+        """The polynomial of terms, taken as they are: exponent tuples of
+        ring's arity, nonnegative, and nonzero Fractions."""
+        p = object.__new__(cls)
+        p.ring = ring
+        p.terms = terms
+        p._hash = None
+        return p
+
     # -- basic structure ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -210,9 +231,7 @@ class Polynomial:
 
     def total_degree(self) -> int:
         """Maximum term degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return _degree(self.terms)
 
     def variables(self) -> set[int]:
         used = set()
@@ -251,10 +270,10 @@ class Polynomial:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return Polynomial(self.ring, out)
+        return Polynomial._make(self.ring, out)
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return Polynomial._make(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -262,16 +281,7 @@ class Polynomial:
     def __mul__(self, other):
         other = self._coerce(other)
         self._check(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Polynomial(self.ring, out)
+        return Polynomial._make(self.ring, _mul(self.terms, other.terms))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -280,16 +290,11 @@ class Polynomial:
         return self._coerce(other) - self
 
     def __pow__(self, k: int):
+        if not isinstance(k, int):
+            raise InputError(f"exponent must be a nonnegative integer, not {type(k).__name__}")
         if k < 0:
             raise InputError("negative powers are not polynomials")
-        result = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return Polynomial._make(self.ring, _pow(self.terms, k, (0,) * self.ring.arity))
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -300,7 +305,7 @@ class Polynomial:
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
-        return Polynomial(self.ring, {e: cc * c for e, cc in self.terms.items()})
+        return Polynomial._make(self.ring, {e: cc * c for e, cc in self.terms.items()} if c else {})
 
     # -- substitution ------------------------------------------------------
 
@@ -350,7 +355,7 @@ class Polynomial:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return Polynomial(tgt, out)
+        return Polynomial._make(tgt, out)
 
     def translate(self, point: AffinePoint | None) -> "Polynomial":
         """p(z + x): move the point x to the origin; no point, or the
@@ -396,43 +401,63 @@ class Polynomial:
         return f"<{self} in {self.ring!r}>"
 
 
-# -- parser -----------------------------------------------------------------
+# -- term dicts and the parser ---------------------------------------------
 
 
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise InputError(f"unexpected character {text[pos:].strip()[0]!r}")
-            break
-        if m.group("name"):
-            tokens.append(("name", m.group("name")))
-        elif m.group("int"):
-            tokens.append(("int", m.group("int")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    return tokens
+def _mul(a: dict, b: dict) -> dict:
+    """The product of two term dicts, each pair of terms folded in with
+    __add__'s add-or-pop rule.  No two products with a one-term operand
+    meet, so that costs one exponent add and one coefficient multiply per
+    term of the other operand, whose order it keeps."""
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        ((eb, cb),) = b.items()
+        return {tuple(map(add, e, eb)): c * cb for e, c in a.items()}
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
 
 
-def _digits(p: Polynomial) -> float:
-    """Decimal digits bounding every numerator and denominator of p, so that
-    k * _digits(p) bounds those of p^k and sums bound products: with d the
-    least common denominator, each coefficient of (d*p)^k is at most the k-th
-    power of the 1-norm of d*p."""
-    d = math.lcm(*(c.denominator for c in p.terms.values()))
-    norm = sum(abs(c.numerator) * (d // c.denominator) for c in p.terms.values())
+def _pow(a: dict, k: int, one: tuple) -> dict:
+    """a^k by repeated squaring from the unit term at exponent one."""
+    out = {one: _ONE}
+    while k:
+        if k & 1:
+            out = _mul(out, a)
+        a = _mul(a, a) if k > 1 else a
+        k >>= 1
+    return out
+
+
+def _degree(t: dict) -> int:
+    return max(map(sum, t), default=-1)
+
+
+def _digits(t: dict) -> float:
+    """Decimal digits bounding every numerator and denominator of the term
+    dict t, so that k * _digits(t) bounds those of t^k and sums bound
+    products: with d the least common denominator, each coefficient of
+    (d*t)^k is at most the k-th power of the 1-norm of d*t."""
+    d = math.lcm(*(c.denominator for c in t.values()))
+    norm = sum(abs(c.numerator) * (d // c.denominator) for c in t.values())
     return math.log10(max(norm, d))
 
 
-def _power_terms(p: Polynomial, k: int) -> int:
-    """Bound on the terms of p^k: the multisets of k terms of p, and the
-    monomials of degree at most k * deg p in the variables of p."""
-    v, deg = len(p.variables()), max(p.total_degree(), 0)
-    return min(math.comb(max(len(p.terms), 1) + k - 1, k), math.comb(v + k * deg, v))
+def _power_terms(t: dict, k: int) -> int:
+    """Bound on the terms of t^k: the multisets of k terms of t, and the
+    monomials of degree at most k * deg t in the variables of t."""
+    if len(t) <= 1:
+        return 1
+    v = sum(map(any, zip(*t)))
+    return min(math.comb(len(t) + k - 1, k), math.comb(v + k * _degree(t), v))
 
 
 def _check_terms(terms: int) -> None:
@@ -469,106 +494,115 @@ def _literal(text: str) -> int:
 
 class _Parser:
     """Recursive descent over: expr := term (+|- term)*, term := factor (* factor)*,
-    factor := atom (^ INT)?, atom := NAME | NUMBER | ( expr ) | - atom."""
+    factor := atom (^ INT)?, atom := NAME | NUMBER | ( expr ) | - atom.
+
+    Every value is a term dict; ``parse`` wraps the one for the whole text.
+    A run of unary minuses is read in a loop, and parentheses open at most
+    MAX_NESTING deep, so no text reaches Python's recursion limit."""
 
     def __init__(self, ring: Ring, text: str):
         self.ring = ring
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = []
+        for tok, bad in _TOKEN_RE.findall(text):
+            if bad:
+                raise InputError(f"unexpected character {bad!r}")
+            self.tokens.append(tok)
+        self.end = len(self.tokens)
+        self.tokens.append("")  # past the end; every caller that takes it raises
         self.pos = 0
+        self.depth = 0
+        self.one = (0,) * ring.arity
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+    def peek(self) -> str:
+        return self.tokens[self.pos]
 
-    def take(self):
-        tok = self.peek()
+    def take(self) -> str:
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise InputError(f"expected {op!r} in {self.text!r}")
-
     def parse(self) -> Polynomial:
-        if not self.tokens:
+        if not self.end:
             raise InputError("empty polynomial")
-        p = self.expr()
-        if self.pos != len(self.tokens):
-            kind, val = self.peek()
-            raise InputError(
-                f"trailing {val!r} in {self.text!r} (use explicit '*')"
-            )
-        return p
+        t = self.expr()
+        if self.pos != self.end:
+            raise InputError(f"trailing {self.peek()!r} in {self.text!r} (use explicit '*')")
+        return Polynomial._make(self.ring, t)
 
-    def expr(self) -> Polynomial:
+    def expr(self) -> dict:
         """The terms fold into one running sum, with __add__'s add-or-pop
         rule, so a sum of k terms is not rebuilt k times."""
         out: dict = {}
-        sign = self.take()[1] if self.peek() == ("op", "-") else "+"
+        sign = self.take() if self.peek() == "-" else "+"
         while True:
-            for e, c in self.term().terms.items():
+            for e, c in self.term().items():
                 s = out.get(e, 0) + c if sign == "+" else out.get(e, 0) - c
                 if s:
                     out[e] = s
                 else:
                     out.pop(e, None)
-            kind, sign = self.peek()
-            if kind != "op" or sign not in "+-":
-                return Polynomial(self.ring, out)
+            sign = self.peek()
+            if sign != "+" and sign != "-":
+                return out
             self.take()
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         p = self.factor()
-        while self.peek() == ("op", "*"):
+        while self.peek() == "*":
             self.take()
             q = self.factor()
-            _check_size(
-                p.total_degree() + q.total_degree(),
-                _digits(p) + _digits(q),
-                len(p.terms) * len(q.terms),
-            )
-            p = p * q
+            _check_size(_degree(p) + _degree(q), _digits(p) + _digits(q), len(p) * len(q))
+            p = _mul(p, q)
         return p
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> dict:
         p = self.atom()
-        if self.peek() == ("op", "^"):
+        if self.peek() == "^":
             self.take()
-            kind, val = self.take()
-            if kind != "int":
+            tok = self.take()
+            if not tok.isdigit():
                 raise InputError("exponent must be a nonnegative integer")
-            k = _literal(val)
+            k = _literal(tok)
             if k > MAX_DEGREE:
                 raise InputError(f"exponent {k} exceeds the limit {MAX_DEGREE}")
-            _check_size(p.total_degree() * k, _digits(p) * k, _power_terms(p, k))
-            p = p**k
+            _check_size(_degree(p) * k, _digits(p) * k, _power_terms(p, k))
+            p = _pow(p, k, self.one)
         return p
 
-    def atom(self) -> Polynomial:
-        kind, val = self.take()
-        if kind == "name":
-            try:
-                return self.ring.var(self.ring._index[val])
-            except KeyError:
-                raise InputError(f"unknown variable {val!r}") from None
-        if kind == "int":
-            num = _literal(val)
-            if self.peek() == ("op", "/"):
+    def atom(self) -> dict:
+        negate = False
+        tok = self.take()
+        while tok == "-":
+            negate = not negate
+            tok = self.take()
+        if tok in self.ring._index:
+            e = list(self.one)
+            e[self.ring._index[tok]] = 1
+            t = {tuple(e): _ONE}
+        elif tok.isdigit():
+            num, den = _literal(tok), 1
+            if self.peek() == "/":
                 self.take()
-                kind2, val2 = self.take()
-                if kind2 != "int":
+                den = self.take()
+                if not den.isdigit():
                     raise InputError("denominator must be an integer")
-                den = _literal(val2)
+                den = _literal(den)
                 if den == 0:
                     raise InputError(f"division by zero in {self.text!r}")
-                return self.ring.constant(Fraction(num, den))
-            return self.ring.constant(num)
-        if (kind, val) == ("op", "("):
-            p = self.expr()
-            self.expect_op(")")
-            return p
-        if (kind, val) == ("op", "-"):
-            return -self.atom()
-        raise InputError(f"unexpected token in {self.text!r}")
-
+            t = {self.one: Fraction(num, den)} if num else {}
+        elif tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise InputError(
+                    f"a nesting of {self.depth} parentheses exceeds the limit {MAX_NESTING}"
+                )
+            t = self.expr()
+            if self.take() != ")":
+                raise InputError(f"expected ')' in {self.text!r}")
+            self.depth -= 1
+        elif tok.isidentifier():
+            raise InputError(f"unknown variable {tok!r}")
+        else:
+            raise InputError(f"unexpected token in {self.text!r}")
+        return {e: -c for e, c in t.items()} if negate else t

@@ -233,6 +233,31 @@ def test_huge_degree_is_input_error(gen, tmp_path, capsys):
     assert "exceeds the limit" in capsys.readouterr().err
 
 
+def test_non_ascii_digits_are_input_errors(tmp_path, capsys):
+    f = tmp_path / "digits.prob"
+    f.write_text("ring x y\nideal A: ٣*x^٢\n", encoding="utf-8")
+    assert main(["dim", "--ideal", "A", str(f)]) == 2
+    assert f"{f}:2: unexpected character '٣'" in capsys.readouterr().err
+
+
+def test_deep_nesting_is_input_error(tmp_path, capsys):
+    # 1000 nested parentheses used to end in RecursionError, exit 6
+    f = tmp_path / "deep.prob"
+    f.write_text("ring x y\nideal A: " + "(" * 1000 + "x" + ")" * 1000 + "\n")
+    assert main(["dim", "--ideal", "A", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert f"{f}:2: a nesting of 101 parentheses exceeds the limit 100" in err
+    assert "internal error" not in err
+
+
+def test_a_long_run_of_unary_minuses_parses(tmp_path, capsys):
+    # 1000 unary minuses used to end in RecursionError, exit 6
+    f = tmp_path / "minus.prob"
+    f.write_text("ring x y\nideal A: " + "-" * 1000 + "x, " + "-" * 1001 + "y\n")
+    assert main(["dim", "--ideal", "A", "--format", "json", str(f)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {"dim": 0}
+
+
 def test_colength_of_the_unit_ideal_is_input_error(tmp_path, capsys):
     f = tmp_path / "unit.prob"
     f.write_text("ring x y\nideal U: x, x + 1\n")

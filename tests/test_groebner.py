@@ -628,9 +628,11 @@ def test_seeded_saturation_equals_an_unseeded_one(case):
 
 def _ref_groebner(polys, order):
     """Reduced basis by textbook Buchberger over Fraction, a kept reference:
-    every S-pair in the order formed, no criterion, division by the whole
-    basis so far; then minimal, tail-reduced, monic and sorted by decreasing
-    lead, as ``Ideal.groebner`` returns it."""
+    the S-pair of least sugar formed first, ties by least lcm under order
+    (normal selection), pairs skipped by Buchberger's criteria (coprime
+    leads; a third lead dividing the lcm, its two pairs done), division by
+    the whole basis so far; then minimal, tail-reduced, monic and sorted by
+    decreasing lead, as ``Ideal.groebner`` returns it."""
     lead = lambda p: max(p, key=order.key)  # noqa: E731
     divides = lambda b, a: all(x >= y for x, y in zip(a, b))  # noqa: E731
 
@@ -649,28 +651,47 @@ def _ref_groebner(polys, order):
         p, r = dict(p), {}
         while p:
             e = lead(p)
-            lg, g = next(((lg, g) for lg, g in G if divides(lg, e)), (None, None))
+            lg, g = next(((lg, g) for lg, g, _ in G if divides(lg, e)), (None, None))
             if g is None:
                 r[e] = p.pop(e)
             else:
                 axpy(p, p[e], tuple(x - y for x, y in zip(e, lg)), g)
         return r
 
-    G = [(lead(p), monic(p)) for p in polys if p]
-    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
+    G = []  # (lead, monic polynomial, sugar)
+    pairs = {}  # (i, j) -> (sugar, lcm key, i, j), for i < j
+
+    def add(p, sugar):
+        j = len(G)
+        G.append((lead(p), monic(p), sugar))
+        for i in range(j):
+            L = tuple(map(max, G[i][0], G[j][0]))
+            s = max(G[k][2] + sum(L) - sum(G[k][0]) for k in (i, j))
+            pairs[i, j] = (s, order.key(L), i, j)
+
+    for p in filter(None, polys):
+        add(p, max(map(sum, p)))
     while pairs:
-        (lf, f), (lg, g) = (G[k] for k in pairs.pop(0))
+        sugar, _, i, j = min(pairs.values())
+        del pairs[i, j]
+        (lf, f, _), (lg, g, _) = G[i], G[j]
         L = tuple(map(max, lf, lg))
+        if not any(map(min, lf, lg)) or any(
+            divides(G[k][0], L) and (min(i, k), max(i, k)) not in pairs
+            and (min(j, k), max(j, k)) not in pairs
+            for k in range(len(G))
+            if k not in (i, j)
+        ):
+            continue
         s = {}
         axpy(s, -1, tuple(x - y for x, y in zip(L, lf)), f)
         axpy(s, 1, tuple(x - y for x, y in zip(L, lg)), g)
         h = reduce(s, G)
         if h:
-            pairs += [(k, len(G)) for k in range(len(G))]
-            G.append((lead(h), monic(h)))
+            add(h, sugar)
     G.sort(key=lambda lg: order.key(lg[0]))
-    kept = [(l, g) for k, (l, g) in enumerate(G) if not any(divides(h, l) for h, _ in G[:k])]
-    out = [reduce(g, [h for h in kept if h[1] is not g]) for _, g in kept]
+    kept = [g for k, g in enumerate(G) if not any(divides(h[0], g[0]) for h in G[:k])]
+    out = [reduce(g, [h for h in kept if h[1] is not g]) for _, g, _ in kept]
     return sorted(out, key=lambda r: order.key(lead(r)), reverse=True)
 
 
@@ -688,14 +709,26 @@ def _oracle_case(draw):
 @given(_oracle_case())
 # the twisted cubic plus z^2 - x under lex, a sum that seeding once made costly
 @example((R3, [R3.parse("y - x^2"), R3.parse("z - x^3")], [R3.parse("z^2 - x")], LEX))
+# a lex sum whose reference, with every pair in FIFO order, ran for minutes
+@example(
+    (
+        _RINGS[4],
+        _RINGS[4].polys(
+            ["-x^2*w - x*w^2 - 5*w", "-8*x*y^2 + 6*z^2*w - 3*x*z", "-7*x^2*y + 4*y*z^2 - 4*x*y"]
+        ),
+        _RINGS[4].polys(["4*y*z^2 - 3*y^2*w"]),
+        LEX,
+    )
+)
 def test_bases_match_textbook_buchberger(case):
     ring, gens, extra, order = case
     terms = [g.terms for g in gens + extra]
     I = Ideal(ring, gens)
     assert _terms(I.groebner(order)) == _ref_groebner([g.terms for g in gens], order)
     seeded = I + extra
-    assert _terms(seeded.groebner(order)) == _ref_groebner(terms, order)
-    assert _terms(Ideal(ring, gens + extra).groebner(order)) == _ref_groebner(terms, order)
+    want = _ref_groebner(terms, order)
+    assert _terms(seeded.groebner(order)) == want
+    assert _terms(Ideal(ring, gens + extra).groebner(order)) == want
     # I : g^inf = (I + (1 - t*g)) cap k[x], read off a block(1) reference basis
     ext, lift = _front(ring)
     g = extra[0]

@@ -2,14 +2,16 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from ref_parser import ref_parse
 
 from segrenum import AffinePoint, InputError, Polynomial, Ring
 from segrenum import ring as ring_module
-from segrenum.ring import MAX_DEGREE, MAX_DIGITS, MAX_TERMS, MAX_VARS
+from segrenum.ring import MAX_DEGREE, MAX_DIGITS, MAX_NESTING, MAX_TERMS, MAX_VARS
 
 R2 = Ring(["x", "y"])
 R3 = Ring(["x", "y", "z"])
@@ -30,10 +32,11 @@ def test_ring_validation():
 
 
 def test_variable_count_limit(monkeypatch):
-    def no_polynomial(self, ring, terms):
+    def no_polynomial(self_or_cls, ring, terms):
         raise AssertionError("built a polynomial")
 
     monkeypatch.setattr(Polynomial, "__init__", no_polynomial)
+    monkeypatch.setattr(Polynomial, "_make", classmethod(no_polynomial))
     names = [f"x{i}" for i in range(MAX_VARS + 1)]
     with pytest.raises(InputError, match=f"{MAX_VARS + 1} variables exceed the limit {MAX_VARS}"):
         Ring(names)
@@ -51,6 +54,42 @@ def test_polys_coerces_one_polynomial_its_text_or_a_list():
             R2.polys(bad)
     with pytest.raises(InputError, match="polynomial from a different ring"):
         R2.polys(["y", Ring(["x"]).parse("x")])
+
+
+def test_polys_parses_each_text_through_ring_parse(monkeypatch):
+    seen = []
+    parse = Ring.parse
+
+    def spy(self, text):
+        seen.append(text)
+        return parse(self, text)
+
+    monkeypatch.setattr(Ring, "parse", spy)
+    y = R2.var(1)
+    assert R2.polys(["x^2", y, "x - y"]) == (R2.var(0) ** 2, y, R2.var(0) - y)
+    assert R2.polys("x") == (R2.var(0),)
+    assert seen == ["x^2", "x - y", "x"]
+
+
+def test_public_constructor_checks_every_term():
+    for bad in ((1,), (1, 0, 0), (-1, 2), (0, -1)):
+        with pytest.raises(InputError, match="bad exponent tuple"):
+            Polynomial(R2, {(0, 0): Fraction(1), bad: Fraction(2)})
+    p = Polynomial(R2, {(1, 0): 3, (0, 1): Fraction(0), (0, 0): Fraction(1, 2)})
+    assert list(p.terms.items()) == [((1, 0), 3), ((0, 0), Fraction(1, 2))]
+    assert all(type(c) is Fraction for c in p.terms.values())
+
+
+def test_powers_take_nonnegative_integer_exponents():
+    x = R2.var(0)
+    for p in (x, x + 1):
+        for k in (0.5, Fraction(1, 2), 2.0):
+            with pytest.raises(InputError, match="exponent must be a nonnegative integer"):
+                p**k
+        with pytest.raises(InputError, match="negative powers"):
+            p**-1
+    assert list(((2 * x) ** 3).terms.items()) == [((3, 0), Fraction(8))]
+    assert (x + 1) ** 0 == R2.one()
 
 
 def test_from_terms_drops_zeros_and_checks_arity():
@@ -108,18 +147,18 @@ def test_parse_rejects_juxtaposition_and_garbage():
     ],
 )
 def test_parse_rejects_huge_degrees_before_the_power(text, monkeypatch):
-    pow_, mul = Polynomial.__pow__, Polynomial.__mul__
+    pow_, mul, degree = ring_module._pow, ring_module._mul, ring_module._degree
 
-    def capped_pow(self, k):
-        assert k <= MAX_DEGREE and self.total_degree() * k <= MAX_DEGREE, "expanded"
-        return pow_(self, k)
+    def capped_pow(t, k, one):
+        assert k <= MAX_DEGREE and degree(t) * k <= MAX_DEGREE, "expanded"
+        return pow_(t, k, one)
 
-    def capped_mul(self, other):
-        assert self.total_degree() + other.total_degree() <= MAX_DEGREE, "expanded"
-        return mul(self, other)
+    def capped_mul(a, b):
+        assert degree(a) + degree(b) <= MAX_DEGREE, "expanded"
+        return mul(a, b)
 
-    monkeypatch.setattr(Polynomial, "__pow__", capped_pow)
-    monkeypatch.setattr(Polynomial, "__mul__", capped_mul)
+    monkeypatch.setattr(ring_module, "_pow", capped_pow)
+    monkeypatch.setattr(ring_module, "_mul", capped_mul)
     with pytest.raises(InputError, match="exceeds the limit"):
         R2.parse(text)
 
@@ -132,8 +171,8 @@ def test_parse_accepts_degrees_up_to_the_limit():
     assert R2.parse("2^10000").total_degree() == 0
 
 
-def _height_digits(p):
-    return math.log10(max(max(abs(c.numerator), c.denominator) for c in p.terms.values()))
+def _height_digits(t):
+    return math.log10(max(max(abs(c.numerator), c.denominator) for c in t.values()))
 
 
 @pytest.mark.parametrize(
@@ -150,20 +189,20 @@ def _height_digits(p):
     ids=lambda text: text[:40],
 )
 def test_parse_rejects_huge_constants_before_the_power(text, monkeypatch):
-    pow_, mul = Polynomial.__pow__, Polynomial.__mul__
+    pow_, mul = ring_module._pow, ring_module._mul
 
     # a constant's height is exact, and the cases keep the largest
     # coefficient of each power at a vertex, where c^k survives
-    def capped_pow(self, k):
-        assert k * _height_digits(self) <= MAX_DIGITS, "expanded"
-        return pow_(self, k)
+    def capped_pow(t, k, one):
+        assert k * _height_digits(t) <= MAX_DIGITS, "expanded"
+        return pow_(t, k, one)
 
-    def capped_mul(self, other):
-        assert _height_digits(self) + _height_digits(other) <= MAX_DIGITS, "expanded"
-        return mul(self, other)
+    def capped_mul(a, b):
+        assert _height_digits(a) + _height_digits(b) <= MAX_DIGITS, "expanded"
+        return mul(a, b)
 
-    monkeypatch.setattr(Polynomial, "__pow__", capped_pow)
-    monkeypatch.setattr(Polynomial, "__mul__", capped_mul)
+    monkeypatch.setattr(ring_module, "_pow", capped_pow)
+    monkeypatch.setattr(ring_module, "_mul", capped_mul)
     with pytest.raises(InputError, match="exceeds the limit"):
         R2.parse(text)
 
@@ -178,19 +217,19 @@ def test_parse_rejects_huge_constants_before_the_power(text, monkeypatch):
     ],
 )
 def test_parse_rejects_huge_expansions_before_expanding(text, monkeypatch):
-    pow_, mul = Polynomial.__pow__, Polynomial.__mul__
+    pow_, mul = ring_module._pow, ring_module._mul
 
-    # every term of p^k is a product of k terms of p
-    def capped_pow(self, k):
-        assert math.comb(len(self.terms) + k - 1, k) <= MAX_TERMS, "expanded"
-        return pow_(self, k)
+    # every term of t^k is a product of k terms of t
+    def capped_pow(t, k, one):
+        assert math.comb(len(t) + k - 1, k) <= MAX_TERMS, "expanded"
+        return pow_(t, k, one)
 
-    def capped_mul(self, other):
-        assert len(self.terms) * len(other.terms) <= MAX_TERMS, "expanded"
-        return mul(self, other)
+    def capped_mul(a, b):
+        assert len(a) * len(b) <= MAX_TERMS, "expanded"
+        return mul(a, b)
 
-    monkeypatch.setattr(Polynomial, "__pow__", capped_pow)
-    monkeypatch.setattr(Polynomial, "__mul__", capped_mul)
+    monkeypatch.setattr(ring_module, "_pow", capped_pow)
+    monkeypatch.setattr(ring_module, "_mul", capped_mul)
     with pytest.raises(InputError, match=f"terms exceeds the limit {MAX_TERMS}"):
         R4.parse(text)
 
@@ -236,6 +275,31 @@ def test_parse_accepts_constants_up_to_the_limit():
 def test_parse_unknown_variable():
     with pytest.raises(InputError):
         R2.parse("x + w")
+
+
+@pytest.mark.parametrize("text, char", [("٣*x^٢", "٣"), ("x^٢", "٢"), ("x²", "²"), ("1/٣", "٣")])
+def test_parse_takes_ascii_digits_only(text, char):
+    with pytest.raises(InputError, match=f"unexpected character '{char}'"):
+        R2.parse(text)
+
+
+def test_parse_caps_the_nesting_depth():
+    deep = "(" * MAX_NESTING + "x - y" + ")" * MAX_NESTING
+    assert R2.parse(deep) == R2.parse("x - y")
+    for text in ("(" + deep + ")", "(" * 1000 + "x" + ")" * 1000, "(" * 300):
+        with pytest.raises(InputError, match=f"{MAX_NESTING + 1} parentheses exceeds the limit"):
+            R2.parse(text)
+
+
+def test_parse_reads_a_run_of_unary_minuses_in_a_loop():
+    x = R2.var(0)
+    assert R2.parse("-" * 1000 + "x") == x
+    assert R2.parse("-" * 1001 + "x") == -x
+    # a unary minus binds tighter than ^ inside a product, as it always did
+    assert R2.parse("2*" + "-" * 999 + "x^2") == 2 * x**2
+    assert R2.parse("y*(" + "-" * 5000 + "(x))") == R2.var(1) * x
+    with pytest.raises(InputError, match="unexpected token"):
+        R2.parse("x*" + "-" * 1000)
 
 
 def test_parse_point():
@@ -427,3 +491,61 @@ def test_substitute_matches_the_sum_of_term_images(p, a, b):
     want = _substitute_by_sums(p, bindings, R3)
     assert got == want
     assert list(got.terms) == list(want.terms)
+
+
+# -- the term-dict parser against the Polynomial-arithmetic reference ----------
+
+_literals = st.one_of(
+    st.integers(0, 12).map(str),
+    st.integers(0, 10**14).map(str),
+    st.tuples(st.integers(0, 12), st.integers(0, 12)).map(lambda t: f"{t[0]}/{t[1]}"),
+)
+_sum = st.sampled_from([" + ", " - ", "*", " * "])
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, _sum, inner).map("".join),
+        st.tuples(inner, _sum, inner, _sum, inner).map("".join),
+        st.lists(inner, min_size=2, max_size=3).map(lambda ts: "*".join(f"({t})" for t in ts)),
+        st.tuples(inner, st.integers(0, 4) | st.integers(0, 15)).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(inner, st.integers(0, 4)).map(lambda t: f"{t[0]}^{t[1]}"),
+        inner.map(lambda t: f"({t})"),
+        st.tuples(st.integers(1, 3), inner).map(lambda t: "-" * t[0] + t[1]),
+        st.tuples(inner, inner).map(lambda t: f"{t[0]} - {t[1]}*({t[0]})"),  # terms that cancel
+    )
+
+
+_texts = st.recursive(st.sampled_from(["x", "y", "x", "y"]) | _literals, _compound, max_leaves=12)
+# a valid text with one piece of junk put in: a bad character, a stray
+# operator or a non-ASCII digit
+_broken = st.tuples(
+    _texts, st.integers(0, 60), st.sampled_from(list("xy+-*^()/0 .٣²") + ["**", "z", "1/"])
+).map(lambda t: t[0][: t[1]] + t[2] + t[0][t[1] :])
+
+
+def _outcome(parse, text):
+    try:
+        p = parse(R2, text)
+    except InputError as exc:
+        return str(exc)
+    assert all(type(c) is Fraction for c in p.terms.values())
+    return list(p.terms.items())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_texts, _texts, _texts, _broken))
+@example("(3)*x^2*y + (-5)*x*y^1 + 1/2*y - (x + 1/3)^3*(2*x - y)^2 - --x^2*y")
+@example("0^0 + (x - x)^0 - 0*x^8 + (x - x)^8*y^8")
+@example("(1/2*x - 2/3*y)^4*(3*x + 1/5) - (x + y)^4")
+@example("(x + y + 1)*(x - y + 2)*(2*x + y - 1) + y")  # the term cap
+@example("(x^3*y)^3")  # the degree cap
+@example("(123456*x + 1)^3")  # the digit cap
+@example("(1/123456*x)^3")  # the digit cap on a denominator
+@example("(x + 1)^7")  # the term cap on a power
+@example("1234567890123*x")  # the literal cap
+@example("x^9")  # the exponent cap
+def test_parser_matches_the_polynomial_reference(text):
+    # small caps, so that the degree, digit, term and literal limits fire
+    with mock.patch.multiple(ring_module, MAX_DEGREE=8, MAX_DIGITS=12, MAX_TERMS=6):
+        assert _outcome(Ring.parse, text) == _outcome(ref_parse, text)
