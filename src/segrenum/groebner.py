@@ -45,10 +45,13 @@ import heapq
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import and_, getitem
 
 from . import kernel
 from .errors import InputError
+from .kernel._pure import _divisor_index
 from .orders import GREVLEX, MonomialOrder, block_order
 from .ring import AffinePoint, Polynomial, Ring
 
@@ -85,28 +88,62 @@ def _det_key(z: dict, order: MonomialOrder):
     return (order.key(max(z, key=order.key)), len(z), sorted(z.items()))
 
 
-def _interreduce(rows: list, order: MonomialOrder) -> list:
-    """The reduced basis of the ideal that rows (lead, lead coeff, primitive
-    int term dict), a Groebner basis under order, generate: drop every row
-    whose lead another kept lead divides, then tail-reduce each kept row
-    against the others and make its lead coeff positive.  Sorted by
-    decreasing lead, one-to-one with the monic reduced basis."""
+def _interreduce(old: list, new: list, order: MonomialOrder) -> list:
+    """The reduced basis of the ideal that old, rows (lead, lead coeff,
+    primitive int term dict) of a reduced basis, and the rows new of a
+    ``_signature_step`` on it generate: drop every row whose lead another
+    kept lead divides, then tail-reduce each kept row against the others and
+    make its lead coeff positive.  Sorted by decreasing lead, one-to-one
+    with the monic reduced basis.
+
+    No old lead divides a term of another old row or of a new row (the step
+    reduced them by every old row), and under a global order no lead divides
+    another term of its own row.  So only new leads drop rows, and a row is
+    tail-reduced only when a kept new lead divides one of its terms other
+    than its lead; otherwise it is what reduce_full would return, its terms
+    largest first.  Each row of the step, and of a reduced basis of two rows
+    or more, has that order already, since reduce_full made it; a lone old
+    row is sorted."""
     K = kernel.get()
-    kept = []
-    for r in sorted(rows, key=lambda r: order.key(r[0])):
-        if not any(K.exp_div(r[0], k[0]) for k in kept):
+    key, div = order.key, K.exp_div
+    fresh = {id(r) for r in new}
+    kept, leads = [], []  # leads: those of the kept new rows
+    for r in sorted(old + new, key=lambda r: key(r[0])):
+        if not any(div(r[0], n) for n in leads):
             kept.append(r)
+            if id(r) in fresh:
+                leads.append(r[0])
+    touched = _divides_some(leads)
     out = []
     for i, (le, lc, z) in enumerate(kept):
-        others = kept[:i] + kept[i + 1 :]
-        if others:
+        if any(touched(e) for e in z if e != le):
+            others = kept[:i] + kept[i + 1 :]
             z = K.make_primitive(dict(K.reduce_full(z, others, order.code, order.block)[0]))
             lc = z[le]
+        elif len(old) == 1 and kept[i] is old[0]:
+            z = dict(sorted(z.items(), key=lambda t: key(t[0]), reverse=True))
         if lc < 0:
             lc, z = -lc, {e: -c for e, c in z.items()}
         out.append((le, lc, z))
-    out.sort(key=lambda r: order.key(r[0]), reverse=True)
+    out.sort(key=lambda r: key(r[0]), reverse=True)
     return out
+
+
+def _divides_some(leads: list):
+    """Whether one of leads divides an exponent, as a predicate.  Over more
+    leads than variables it reads the per-variable bitsets of the kernel's
+    ``_divisor_index``, built once: each exponent selects the leads that are
+    at most it in that variable, and the AND of the selections holds the
+    leads dividing it.  Over fewer leads a scan costs less than the build,
+    as in ``reduce_full``."""
+    div = kernel.get().exp_div
+    if len(leads) <= len(leads[0]):
+        return lambda e: any(div(e, n) for n in leads)
+    full = (1 << len(leads)) - 1
+    index = _divisor_index([(n,) for n in leads])
+    cols = [bits + [full] for bits, _ in index]
+    tops = [top for _, top in index]
+    return lambda e: reduce(and_, map(getitem, cols, map(min, e, tops)), full) != 0
 
 
 def _signature_step(f: dict, old: list, order: MonomialOrder) -> list:
@@ -118,38 +155,43 @@ def _signature_step(f: dict, old: list, order: MonomialOrder) -> list:
     Pairs wait in a heap keyed by the signature sigma of their larger side
     (the generating side); at most one S-polynomial is reduced per sigma, and
     a pair whose sides have equal signatures is never formed.  A pair is
-    dropped when sigma is divisible by an old lead (Koszul), by the
-    signature of a principal syzygy of two new elements, or by that of an
-    earlier reduction to zero (checked when pushed, the syzygies again when
-    popped); or when its generating side is not the rewriter of sigma:
-    among the new elements c with s_c | sigma, the one with the smallest
-    lead of x^(sigma - s_c) * c, the newest on ties (the ratio rewrite order
-    of Eder and Faugere 2017).  Reduction is regular: by the old rows and
-    the new rows d with x^(E - l_d) * d below sigma in signature, E the
-    current lead and l_d that of d.  Every order here is a group order on
-    exponent vectors, so that is E < sigma + l_d - s_d, one key per row and
-    reduction.  The set grows as E falls, so reduce_full runs again only
-    while it grows.  A result whose lead a new row reduces at signature
-    exactly sigma is redundant and dropped; a zero result's sigma is a
-    syzygy.  The signatures and syzygies live only as long as the step.
+    dropped when sigma is divisible by an old lead (Koszul, one
+    ``_divides_some`` over the old leads per step), by the signature of a
+    principal syzygy of two new elements, or by that of an earlier reduction
+    to zero (checked when pushed, the syzygies again when popped); or when
+    its generating side is not the rewriter of sigma: among the new elements
+    c with s_c | sigma, the one with the smallest lead of x^(sigma - s_c) * c,
+    the newest on ties (the ratio rewrite order of Eder and Faugere 2017).
+    Reduction is regular: by the old rows and the new rows d with
+    x^(E - l_d) * d below sigma in signature, E the current lead and l_d that
+    of d.  Every order here is a group order on exponent vectors, so that is
+    E < sigma + l_d - s_d, one add and one key per row and pop, with l_d - s_d
+    kept from the push.  The set grows as E falls, so reduce_full runs again
+    only while it grows; it returns its terms largest first, so E is the
+    first.  A result whose lead a new row reduces at signature exactly sigma
+    is redundant and dropped; a zero result's sigma is a syzygy.  The
+    signatures and syzygies live only as long as the step.
     """
     K = kernel.get()
     code, block, key = order.code, order.block, order.key
     add, sub, div = K.exp_add, K.exp_sub, K.exp_div
-    if old:
-        f = K.make_primitive(K.reduce_full(f, old, code, block)[0])
+    if not old:
+        le = K.lead_exp(f, code, block)
+        return [(le, f[le], f)]
+    f = K.make_primitive(K.reduce_full(f, old, code, block)[0])
     if not f:
         return []
+    koszul = _divides_some([r[0] for r in old])
     sigs: list = []
+    offs: list = []  # l - s per new row
     rows: list = []
     syz: list = []
     pairs: list = []
 
     def dead(s):  # a Koszul or known syzygy signature divides s
-        return any(div(s, r[0]) for r in old) or any(div(s, y) for y in syz)
+        return koszul(s) or any(div(s, y) for y in syz)
 
-    def push(sig, z):
-        le = K.lead_exp(z, code, block)
+    def push(sig, z, le):
         t = len(rows)
         for k, (lk, _, _) in enumerate(old):
             s = add(sig, sub(K.exp_lcm(le, lk), le))
@@ -169,38 +211,35 @@ def _signature_step(f: dict, old: list, order: MonomialOrder) -> list:
             if not dead(p[1]):
                 heapq.heappush(pairs, p)
         sigs.append(sig)
+        offs.append(sub(le, sig))
         rows.append((le, z[le], z))
 
-    push((0,) * len(next(iter(f))), f)
+    push((0,) * len(next(iter(f))), f, next(iter(f)))
     last = None
     while pairs:
         _, sig, g, o = heapq.heappop(pairs)
         if sig == last or any(div(sig, y) for y in syz):
             continue
-        rewriter = min(
-            (key(add(sub(sig, s), r[0])), -c)
-            for c, (r, s) in enumerate(zip(rows, sigs))
-            if div(sig, s)
-        )
-        if rewriter[1] != -g:
+        bounds = [key(add(sig, d)) for d in offs]  # x^(sigma - s_c) * c's lead
+        if min((b, -c) for c, (b, s) in enumerate(zip(bounds, sigs)) if div(sig, s))[1] != -g:
             continue
         last = sig
         (lg, cg, zg), (lo, co, zo) = rows[g], (rows[o] if o >= 0 else old[-1 - o])
         h = K.spoly(zg, lg, cg, zo, lo, co, code, block)
+        E = K.lead_exp(h, code, block) if h else None
         red = None
-        bounds = [key(add(sig, sub(r[0], s))) for r, s in zip(rows, sigs)]
         while h:
-            E = K.lead_exp(h, code, block)
             kE = key(E)
             now = old + [r for r, b in zip(rows, bounds) if kE < b]
             if red is not None and len(now) == len(red):
                 break
             red = now
             h = K.make_primitive(K.reduce_full(h, red, code, block)[0])
+            E = next(iter(h), None)
         if not h:
             syz.append(sig)
-        elif not any(div(E, r[0]) and add(E, s) == add(sig, r[0]) for r, s in zip(rows, sigs)):
-            push(sig, h)
+        elif not any(div(E, r[0]) and E == add(sig, d) for r, d in zip(rows, offs)):
+            push(sig, h, E)
     return rows
 
 
@@ -214,7 +253,7 @@ def _reduced_groebner(zgens: list[dict], order: MonomialOrder, prefix=()) -> tup
     for f in G:
         new = _signature_step(f, basis, order)
         if new:
-            basis = _interreduce(basis + new, order)
+            basis = _interreduce(basis, new, order)
     return tuple(basis)
 
 
@@ -295,11 +334,13 @@ class Ideal:
     """A finitely generated ideal with cached reduced Groebner bases, kept as
     kernel rows (``_rows``).  Generators are kept as they came (``_src``):
     Polynomials, kernel rows or int term dicts; ``gens`` and ``groebner``
-    build Polynomials once, when first asked.  A sum I + (h) seeds its bases
-    from I's while I lives (``_base``, a weakref)."""
+    build Polynomials once, when first asked.  A sum I + (h) seeds its bases,
+    the standard basis at the origin (``_local``) too, from I's while I lives
+    (``_base``, a weakref)."""
 
     __slots__ = (
-        "ring", "_src", "_gens", "_z", "_gb", "_polys", "_hilbert", "_base", "__weakref__"
+        "ring", "_src", "_gens", "_z", "_gb", "_polys", "_hilbert", "_local", "_base",
+        "__weakref__",
     )
 
     def __init__(self, ring: Ring, gens):
@@ -309,6 +350,7 @@ class Ideal:
         self._gb: dict = {}
         self._polys: dict | None = None
         self._hilbert = None
+        self._local = None  # the standard basis at the origin, see localmult
         self._base = None
 
     @classmethod

@@ -492,9 +492,14 @@ def _literal(text: str) -> int:
     return int(text)
 
 
+_MINUS_POWER = "a unary minus before '^' is ambiguous in {0!r}: write -(a^k) or (-a)^k"
+
+
 class _Parser:
     """Recursive descent over: expr := term (+|- term)*, term := factor (* factor)*,
     factor := atom (^ INT)?, atom := NAME | NUMBER | ( expr ) | - atom.
+    A factor whose atom starts with a unary minus takes no ``^``: whether
+    the minus or the power binds first is left to parentheses.
 
     Every value is a term dict; ``parse`` wraps the one for the whole text.
     A run of unary minuses is read in a loop, and parentheses open at most
@@ -557,8 +562,11 @@ class _Parser:
         return p
 
     def factor(self) -> dict:
+        minus = self.peek() == "-"  # a unary minus, which the atom applies
         p = self.atom()
         if self.peek() == "^":
+            if minus:
+                raise InputError(_MINUS_POWER.format(self.text))
             self.take()
             tok = self.take()
             if not tok.isdigit():

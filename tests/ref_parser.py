@@ -141,8 +141,11 @@ class _Parser:
         return p
 
     def factor(self) -> Polynomial:
+        minus = self.peek() == ("op", "-")
         p = self.atom()
         if self.peek() == ("op", "^"):
+            if minus:
+                raise InputError(ring_module._MINUS_POWER.format(self.text))
             self.take()
             kind, val = self.take()
             if kind != "int":

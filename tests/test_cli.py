@@ -258,6 +258,17 @@ def test_a_long_run_of_unary_minuses_parses(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["result"] == {"dim": 0}
 
 
+def test_a_unary_minus_before_a_power_is_input_error(tmp_path, capsys):
+    # x*-y^2 used to parse silently as x*y^2
+    for gen in ("x*-y^2", "2*-x^2", "x - -y^2"):
+        f = tmp_path / "minus.prob"
+        f.write_text(f"ring x y\nideal A: {gen}\n")
+        assert main(["dim", "--ideal", "A", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert f"{f}:2: a unary minus before '^' is ambiguous in ' {gen}'" in err
+        assert "write -(a^k) or (-a)^k" in err
+
+
 def test_colength_of_the_unit_ideal_is_input_error(tmp_path, capsys):
     f = tmp_path / "unit.prob"
     f.write_text("ring x y\nideal U: x, x + 1\n")

@@ -3,7 +3,9 @@
 import hashlib
 import itertools
 import weakref
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +24,7 @@ from segrenum import (
     Ring,
     normal_form,
 )
-from segrenum import kernel
+from segrenum import groebner, kernel
 from segrenum.groebner import _minimalize, _num_mul, _numerator, exact_div, hilbert_of_leads
 from segrenum.orders import block_order
 
@@ -951,3 +953,85 @@ def test_a_corpus_chain_step_still_intersects(monkeypatch):
     off1 = (off0 + (h,)).saturate(fid)
     assert off1 == Ideal(T3, ["2*t1 - 3*t2 + 5*t3"])
     assert len(calls) == 2
+
+
+# -- the signature step's bookkeeping --------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=10),
+            st.lists(st.tuples(*[st.integers(0, 5)] * n), min_size=1, max_size=10),
+        )
+    )
+)
+def test_the_koszul_index_agrees_with_a_scan(case):
+    # up to n leads are scanned, more are read off the divisor index
+    leads, exps = case
+    divides = groebner._divides_some(leads)
+    for e in exps:
+        assert divides(e) == any(all(a >= b for a, b in zip(e, le)) for le in leads)
+
+
+def _ref_interreduce(rows, order):
+    """Minimalize, then tail-reduce every kept row against the others: the
+    interreduction before untouched rows were kept, a reference."""
+    K = kernel.get()
+    kept = []
+    for r in sorted(rows, key=lambda r: order.key(r[0])):
+        if not any(K.exp_div(r[0], k[0]) for k in kept):
+            kept.append(r)
+    out = []
+    for i, (le, lc, z) in enumerate(kept):
+        others = kept[:i] + kept[i + 1 :]
+        if others:
+            z = K.make_primitive(dict(K.reduce_full(z, others, order.code, order.block)[0]))
+            lc = z[le]
+        if lc < 0:
+            lc, z = -lc, {e: -c for e, c in z.items()}
+        out.append((le, lc, z))
+    out.sort(key=lambda r: order.key(r[0]), reverse=True)
+    return out
+
+
+def _items(rows):
+    return [(le, lc, list(z.items())) for le, lc, z in rows]
+
+
+@contextmanager
+def _interreductions_checked():
+    """Every ``_interreduce`` call inside must return the reference's rows,
+    dict orders included; yields the list of calls checked."""
+    real, calls = groebner._interreduce, []
+
+    def checked(old, new, order):
+        got = real(old, new, order)
+        assert _items(got) == _items(_ref_interreduce(old + new, order))
+        calls.append(len(old))
+        return got
+
+    with mock.patch.object(groebner, "_interreduce", checked):
+        yield calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(_oracle_case())
+def test_interreduce_keeps_the_rows_of_the_full_tail_reduction(case):
+    ring, gens, extra, order = case
+    with _interreductions_checked() as calls:
+        I = Ideal(ring, gens)
+        I.groebner(order)
+        (I + extra).groebner(order)  # seeded by I's rows
+        I.saturate_poly(extra[0])  # seeded by I's lifted grevlex rows
+    assert calls
+
+
+def test_interreduce_keeps_the_rows_of_the_full_tail_reduction_on_the_corpus():
+    from segrenum.cli import corpus_files, corpus_path, run
+
+    with _interreductions_checked() as calls:
+        for name in corpus_files():
+            assert run(["check", corpus_path(name)])[2] == 0
+    assert sum(1 for n in calls if n == 1) and sum(1 for n in calls if n > 1)

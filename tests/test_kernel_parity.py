@@ -53,6 +53,27 @@ def test_reduce_full_parity(p, gens, code):
     )
 
 
+@settings(max_examples=80, deadline=None)
+@given(_dict, st.lists(_dict, max_size=4), st.sampled_from(range(5)), st.integers(0, 3))
+def test_reduce_full_returns_its_terms_largest_first_in_both_kernels(p, gens, code, block):
+    # codes 0-4: grevlex, lex, block, local, grlex
+    block = block if code == 2 else 0
+    basis = []
+    for g in gens:
+        z = _prim(g)
+        if code == LOCAL_CODE:  # one degree, so that the reduction terminates
+            d = sum(next(iter(z)))
+            z = _prim({e: c for e, c in z.items() if sum(e) == d})
+        le = _pure.lead_exp(z, code, block)
+        basis.append((le, z[le], z))
+    pp = _prim(p)
+    got = _pure.reduce_full(dict(pp), basis, code, block)
+    want = _speed.reduce_full(dict(pp), basis, code, block)
+    assert got == want and list(got[0]) == list(want[0])
+    r = list(got[0])
+    assert all(_speed.cmp_exp(a, b, code, block) > 0 for a, b in zip(r, r[1:]))
+
+
 def test_reduce_full_parity_over_the_divisor_index(monkeypatch):
     # 6 to 12 rows exceed the 3 variables, so the pure kernel switches from
     # its scan to the divisor index; most examples must take that path, so

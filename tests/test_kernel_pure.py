@@ -158,6 +158,17 @@ def test_reduce_full_matches_the_rescanning_loop(data, setting):
     assert list(got[0]) == list(want[0])
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _setting())
+def test_reduce_full_returns_its_terms_largest_first(data, setting):
+    # callers read the remainder's first key as its lead
+    n, code, block = setting
+    p = _pure.make_primitive(_poly(data.draw, n, max_size=12))
+    basis = data.draw(st.one_of(st.just([]), _long_basis(n, code, block)))
+    r = list(_pure.reduce_full(dict(p), basis, code, block)[0])
+    assert all(_pure.cmp_exp(a, b, code, block) > 0 for a, b in zip(r, r[1:]))
+
+
 def _row(g, code, block):
     le = _ref_lead(g, code, block)
     return le, g[le], g

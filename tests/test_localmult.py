@@ -14,7 +14,7 @@ from segrenum import (
     local_dim_mult,
     tangent_cone,
 )
-from segrenum.groebner import hilbert_of_leads
+from segrenum.groebner import _minimalize, hilbert_of_leads
 from segrenum.orders import LOCAL
 
 R2 = Ring(["x", "y"])
@@ -344,14 +344,18 @@ def test_lazard_route_matches_mora_in_three_variables(polys):
 # -- the pair criteria ---------------------------------------------------------------
 
 
+# The certificate's own budget per normal form, apart from the engine's
+# MORA_STEP_LIMIT: a pair the criteria skip can take far more steps than the
+# engine ever needs.
+CERTIFICATE_STEPS = 400
+
+
 def _is_standard_basis(basis) -> bool | None:
     """Whether every S-polynomial of basis has Mora normal form {} against
     basis, the criterion for a standard basis (Greuel & Pfister, 1.7).
     Every pair is reduced, coprime leads included, so no pair criterion is
     trusted.  None when no normal form is nonzero but one passed
-    MORA_STEP_LIMIT steps: a pair the criteria skip can take thousands."""
-    from segrenum.localmult import MORA_STEP_LIMIT
-
+    CERTIFICATE_STEPS steps: a pair the criteria skip can take thousands."""
     K = kernel.get()
     rows = []
     for z in basis:
@@ -361,7 +365,7 @@ def _is_standard_basis(basis) -> bool | None:
     for i, (li, ci, _, zi) in enumerate(rows):
         for lj, cj, _, zj in rows[:i]:
             s = K.spoly(zi, li, ci, zj, lj, cj, LOCAL.code, 0)
-            r = K.mora_nf(s, rows, LOCAL.code, 0, MORA_STEP_LIMIT) if s else {}
+            r = K.mora_nf(s, rows, LOCAL.code, 0, CERTIFICATE_STEPS) if s else {}
             if r:
                 return False
             if r is None:
@@ -403,11 +407,12 @@ def test_mora_returns_standard_bases_on_the_image_threefold(monkeypatch):
     import segrenum.localmult as lm
     from segrenum.cli import corpus_path, run
 
-    bases = []
+    bases, seeded = [], []
     complete = lm._complete
 
-    def kept(gens):
-        bases.append(complete(gens))
+    def kept(gens, prefix=()):
+        bases.append(complete(gens, prefix))
+        seeded.append(bool(prefix))
         return bases[-1]
 
     monkeypatch.setattr(lm, "_complete", kept)
@@ -415,7 +420,7 @@ def test_mora_returns_standard_bases_on_the_image_threefold(monkeypatch):
     doc, _, code = run(["circ", path, "--ideal", "A", "--cycle", "Z", "--point", "O",
                         "--trials", "1", "--seed", "4", "--format", "json"])  # fmt: skip
     assert code == 0 and doc["result"]["by_codim"] == [0, 1, 1, 2]
-    assert len(bases) == 6
+    assert len(bases) == 6 and any(seeded)
     assert all(b is not None and _is_standard_basis(b) is True for b in bases)
 
 
@@ -449,8 +454,71 @@ def test_gebauer_moeller_b_drops_a_pending_pair(monkeypatch):
 def test_gebauer_moeller_keeps_one_of_equal_lcms(monkeypatch):
     # the inputs' one normal form adds y*z^2, whose pairs with the two rows
     # of lead x*y^2 share the lcm x*y^2*z^2: only the earlier is kept.
-    # Keeping both would reduce the later one too: two normal forms
+    # Keeping both would reduce the later one too: two normal forms.  The
+    # basis is minimal: of the two rows of lead x*y^2 the earlier stays
     R3 = Ring(["x", "y", "z"])
     count, basis = _mora_nf_calls(monkeypatch, R3, ["y*z^2 - x*y^2", "x^3*z", "x*y^2"])
     assert count == 1
-    assert len(basis) == 4 and _is_standard_basis(basis) is True
+    assert len(basis) == 3 and _is_standard_basis(basis) is True
+
+
+# -- seeded and minimal bases ----------------------------------------------------------
+
+
+def _minimal_leads(basis):
+    lead = kernel.get().lead_exp
+    return _minimalize(frozenset(lead(z, LOCAL.code, 0) for z in basis))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_local_gens(), st.integers(1, 3))
+def test_local_bases_are_minimal_and_seeded_ones_agree(gens, split):
+    from segrenum.localmult import _complete, standard_basis
+
+    K = kernel.get()
+    basis = _complete(gens)
+    assume(basis is not None)
+    leads = [K.lead_exp(z, LOCAL.code, 0) for z in basis]
+    assert not any(i != j and K.exp_div(a, b) for i, a in enumerate(leads) for j, b in enumerate(leads))
+    # completed from the basis of the first generators: the same lead ideal
+    seeded = standard_basis(gens[split:], standard_basis(gens[:split]))
+    assert _minimal_leads(seeded) == _minimal_leads(basis)
+
+
+@pytest.fixture
+def seeded_bases(monkeypatch):
+    """Checks every local basis completed from a sum's base against the basis
+    of the sum's generators (their lead ideals); yields the count of them."""
+    import segrenum.localmult as lm
+
+    real, count = lm._local_basis, [0]
+
+    def checked(ideal):
+        base = ideal._base and ideal._base()
+        seeded = ideal._local is None and base is not None and base._local is not None
+        basis = real(ideal)
+        if seeded:
+            count[0] += 1
+            assert _minimal_leads(basis) == _minimal_leads(lm.standard_basis(ideal._zgens()))
+        return basis
+
+    monkeypatch.setattr(lm, "_local_basis", checked)
+    return count
+
+
+def test_seeded_local_bases_match_the_generators_on_the_corpus(seeded_bases):
+    from segrenum.cli import corpus_files, corpus_path, run
+
+    for name in corpus_files():
+        assert run(["check", corpus_path(name)])[2] == 0
+    assert seeded_bases[0] > 0
+
+
+def test_seeded_local_bases_match_the_generators_on_criterion_07(seeded_bases):
+    from segrenum import segre_at
+    from test_acceptance import _image_threefold, _instances_small
+
+    for _, f, X in [*_instances_small(), ("image-threefold", *_image_threefold())]:
+        for seed in range(1, 11):
+            segre_at(f, X, trials=2, seed=seed)
+    assert seeded_bases[0] > 0

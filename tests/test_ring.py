@@ -295,11 +295,29 @@ def test_parse_reads_a_run_of_unary_minuses_in_a_loop():
     x = R2.var(0)
     assert R2.parse("-" * 1000 + "x") == x
     assert R2.parse("-" * 1001 + "x") == -x
-    # a unary minus binds tighter than ^ inside a product, as it always did
-    assert R2.parse("2*" + "-" * 999 + "x^2") == 2 * x**2
+    # a unary minus before ^ is refused; parentheses say which binds first
+    with pytest.raises(InputError, match=r"unary minus before '\^' is ambiguous"):
+        R2.parse("2*" + "-" * 999 + "x^2")
+    assert R2.parse("2*" + "-" * 999 + "(x^2)") == -2 * x**2
+    assert R2.parse("2*(" + "-" * 999 + "x)^2") == 2 * x**2
     assert R2.parse("y*(" + "-" * 5000 + "(x))") == R2.var(1) * x
     with pytest.raises(InputError, match="unexpected token"):
         R2.parse("x*" + "-" * 1000)
+
+
+@pytest.mark.parametrize("text", ["x*-y^2", "2*-x^2", "x - -y^2", "--x^2", "x*-(x + y)^2", "-2*-3^2"])
+def test_parse_refuses_a_unary_minus_before_a_power(text):
+    with pytest.raises(InputError, match=r"write -\(a\^k\) or \(-a\)\^k"):
+        R2.parse(text)
+
+
+def test_parse_reads_the_sign_of_a_sum_and_a_parenthesised_minus():
+    x, y = R2.var(0), R2.var(1)
+    assert R2.parse("-x^2") == -(x**2)
+    assert R2.parse("y - x^2*(-y^2)") == y + x**2 * y**2
+    assert R2.parse("x*(-y)^2") == x * y**2
+    assert R2.parse("x*-(y^2)") == -(x * y**2)
+    assert R2.parse("x*-y") == -(x * y)
 
 
 def test_parse_point():
@@ -535,7 +553,8 @@ def _outcome(parse, text):
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(_texts, _texts, _texts, _broken))
-@example("(3)*x^2*y + (-5)*x*y^1 + 1/2*y - (x + 1/3)^3*(2*x - y)^2 - --x^2*y")
+@example("(3)*x^2*y + (-5)*x*y^1 + 1/2*y - (x + 1/3)^3*(2*x - y)^2 - --(x^2)*y")
+@example("x*-y^2 + 2*-x^2 - -(-x)^2")  # a unary minus before a power
 @example("0^0 + (x - x)^0 - 0*x^8 + (x - x)^8*y^8")
 @example("(1/2*x - 2/3*y)^4*(3*x + 1/5) - (x + y)^4")
 @example("(x + y + 1)*(x - y + 2)*(2*x + y - 1) + y")  # the term cap

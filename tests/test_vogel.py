@@ -402,6 +402,10 @@ def test_newton_multiplicity_examples():
     st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=3),
     st.integers(0, 2**31 - 1),
 )
+# two draws whose Mora normal forms blew up their coefficients for minutes
+# inside a step limit of 400
+@example(2, 5, [(4, 4), (2, 4), (1, 2)], 2426)
+@example(3, 3, [(1, 4), (1, 1), (3, 4)], 3802)
 def test_teissier_monomial_ideal(a, b, mixed, seed):
     # Teissier: for an m-primary monomial J on C^2 the Segre numbers at 0
     # are (0, 0, e(J)) with e(J) = 2 covol(Newton polyhedron)
@@ -409,6 +413,20 @@ def test_teissier_monomial_ideal(a, b, mixed, seed):
     gens = [f"x^{i}*y^{j}" for i, j in exps]
     res = segre_at(gens, Ideal(R2, ()), trials=2, seed=seed)
     assert res.values == (0, 0, _newton_multiplicity(exps))
+
+
+def test_the_teissier_runaways_answer_within_the_mora_budget():
+    # both ran for minutes inside one Mora normal form at a step limit of 400;
+    # at the shipped limit that form trips and Lazard answers at once
+    from test_acceptance import budget
+
+    for exps, seed, e in (
+        ([(2, 0), (0, 5), (4, 4), (2, 4), (1, 2)], 2426, 9),
+        ([(3, 0), (0, 3), (1, 4), (1, 1), (3, 4)], 3802, 6),
+    ):
+        with budget(5):
+            res = segre_at([f"x^{i}*y^{j}" for i, j in exps], Ideal(R2, ()), trials=2, seed=seed)
+        assert res.values == (0, 0, e)
 
 
 def _newton_multiplicity3(exps):
