@@ -45,13 +45,10 @@ import heapq
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
-from operator import and_, getitem
 
 from . import kernel
 from .errors import InputError
-from .kernel._pure import _divisor_index
 from .orders import GREVLEX, MonomialOrder, block_order
 from .ring import AffinePoint, Polynomial, Ring
 
@@ -113,10 +110,9 @@ def _interreduce(old: list, new: list, order: MonomialOrder) -> list:
             kept.append(r)
             if id(r) in fresh:
                 leads.append(r[0])
-    touched = _divides_some(leads)
     out = []
     for i, (le, lc, z) in enumerate(kept):
-        if any(touched(e) for e in z if e != le):
+        if any(div(e, n) for e in z if e != le for n in leads):
             others = kept[:i] + kept[i + 1 :]
             z = K.make_primitive(dict(K.reduce_full(z, others, order.code, order.block)[0]))
             lc = z[le]
@@ -129,23 +125,6 @@ def _interreduce(old: list, new: list, order: MonomialOrder) -> list:
     return out
 
 
-def _divides_some(leads: list):
-    """Whether one of leads divides an exponent, as a predicate.  Over more
-    leads than variables it reads the per-variable bitsets of the kernel's
-    ``_divisor_index``, built once: each exponent selects the leads that are
-    at most it in that variable, and the AND of the selections holds the
-    leads dividing it.  Over fewer leads a scan costs less than the build,
-    as in ``reduce_full``."""
-    div = kernel.get().exp_div
-    if len(leads) <= len(leads[0]):
-        return lambda e: any(div(e, n) for n in leads)
-    full = (1 << len(leads)) - 1
-    index = _divisor_index([(n,) for n in leads])
-    cols = [bits + [full] for bits, _ in index]
-    tops = [top for _, top in index]
-    return lambda e: reduce(and_, map(getitem, cols, map(min, e, tops)), full) != 0
-
-
 def _signature_step(f: dict, old: list, order: MonomialOrder) -> list:
     """Rows that extend the reduced basis old (rows as ``_interreduce``
     returns them) to a Groebner basis of old + (f): one F5C step.
@@ -155,22 +134,22 @@ def _signature_step(f: dict, old: list, order: MonomialOrder) -> list:
     Pairs wait in a heap keyed by the signature sigma of their larger side
     (the generating side); at most one S-polynomial is reduced per sigma, and
     a pair whose sides have equal signatures is never formed.  A pair is
-    dropped when sigma is divisible by an old lead (Koszul, one
-    ``_divides_some`` over the old leads per step), by the signature of a
-    principal syzygy of two new elements, or by that of an earlier reduction
-    to zero (checked when pushed, the syzygies again when popped); or when
-    its generating side is not the rewriter of sigma: among the new elements
-    c with s_c | sigma, the one with the smallest lead of x^(sigma - s_c) * c,
-    the newest on ties (the ratio rewrite order of Eder and Faugere 2017).
-    Reduction is regular: by the old rows and the new rows d with
-    x^(E - l_d) * d below sigma in signature, E the current lead and l_d that
-    of d.  Every order here is a group order on exponent vectors, so that is
-    E < sigma + l_d - s_d, one add and one key per row and pop, with l_d - s_d
-    kept from the push.  The set grows as E falls, so reduce_full runs again
-    only while it grows; it returns its terms largest first, so E is the
-    first.  A result whose lead a new row reduces at signature exactly sigma
-    is redundant and dropped; a zero result's sigma is a syzygy.  The
-    signatures and syzygies live only as long as the step.
+    dropped when sigma is divisible by an old lead (Koszul), by the
+    signature of a principal syzygy of two new elements, or by that of an
+    earlier reduction to zero (checked when pushed, the syzygies again when
+    popped); or when its generating side is not the rewriter of sigma:
+    among the new elements c with s_c | sigma, the one with the smallest
+    lead of x^(sigma - s_c) * c, the newest on ties (the ratio rewrite order
+    of Eder and Faugere 2017).  Reduction is regular: by the old rows and
+    the new rows d with x^(E - l_d) * d below sigma in signature, E the
+    current lead and l_d that of d.  Every order here is a group order on
+    exponent vectors, so that is E < sigma + l_d - s_d, one add and one key
+    per row and pop, with l_d - s_d kept from the push.  The set grows as E
+    falls, so reduce_full runs again only while it grows; it returns its
+    terms largest first, so E is the first.  A result whose lead a new row
+    reduces at signature exactly sigma is redundant and dropped; a zero
+    result's sigma is a syzygy.  The signatures and syzygies live only as
+    long as the step.
     """
     K = kernel.get()
     code, block, key = order.code, order.block, order.key
@@ -181,7 +160,6 @@ def _signature_step(f: dict, old: list, order: MonomialOrder) -> list:
     f = K.make_primitive(K.reduce_full(f, old, code, block)[0])
     if not f:
         return []
-    koszul = _divides_some([r[0] for r in old])
     sigs: list = []
     offs: list = []  # l - s per new row
     rows: list = []
@@ -189,7 +167,7 @@ def _signature_step(f: dict, old: list, order: MonomialOrder) -> list:
     pairs: list = []
 
     def dead(s):  # a Koszul or known syzygy signature divides s
-        return koszul(s) or any(div(s, y) for y in syz)
+        return any(div(s, r[0]) for r in old) or any(div(s, y) for y in syz)
 
     def push(sig, z, le):
         t = len(rows)

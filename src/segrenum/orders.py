@@ -15,9 +15,8 @@ kernel dispatches on.  Supported families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import neg
-from typing import Callable
 
 from .errors import InputError
 
@@ -36,39 +35,33 @@ _CODES = {
 }
 
 
-def _make_key(code: int, block: int):
-    """The sort key of the coded order as one closure (bigger key = bigger
-    monomial)."""
-    if code == CODE_GREVLEX:
-        return lambda e: (sum(e), tuple(map(neg, reversed(e))))
-    if code == CODE_LEX:
-        return lambda e: e
-    if code == CODE_BLOCK:
-        return lambda e: (
-            sum(e[:block]),
-            tuple(map(neg, reversed(e[:block]))),
-            sum(e[block:]),
-            tuple(map(neg, reversed(e[block:]))),
-        )
-    if code == CODE_LOCAL:
-        return lambda e: (-sum(e), tuple(map(neg, reversed(e))))
-    return lambda e: (sum(e), e)  # grlex
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
     kind: str
     block: int = 0  # front block size, only for kind == "block"
-    # key(exp) is the sort key, built once per order; comparing keys compares
-    # monomials.  It is no part of equality or the hash: orders are dict keys.
-    key: Callable[[tuple], tuple] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "key", _make_key(_CODES[self.kind], self.block))
 
     @property
     def code(self) -> int:
         return _CODES[self.kind]
+
+    def key(self, exp: tuple) -> tuple:
+        """Sort key; comparing keys compares monomials."""
+        code = _CODES[self.kind]
+        if code == CODE_GREVLEX:
+            return (sum(exp), tuple(map(neg, reversed(exp))))
+        if code == CODE_LEX:
+            return exp
+        if code == CODE_BLOCK:
+            f, b = exp[: self.block], exp[self.block :]
+            return (
+                sum(f),
+                tuple(map(neg, reversed(f))),
+                sum(b),
+                tuple(map(neg, reversed(b))),
+            )
+        if code == CODE_LOCAL:
+            return (-sum(exp), tuple(map(neg, reversed(exp))))
+        return (sum(exp), exp)  # grlex
 
     def is_global(self) -> bool:
         """True when 1 is the smallest monomial (well-ordering)."""

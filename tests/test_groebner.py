@@ -958,23 +958,6 @@ def test_a_corpus_chain_step_still_intersects(monkeypatch):
 # -- the signature step's bookkeeping --------------------------------------------
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 4).flatmap(
-        lambda n: st.tuples(
-            st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=10),
-            st.lists(st.tuples(*[st.integers(0, 5)] * n), min_size=1, max_size=10),
-        )
-    )
-)
-def test_the_koszul_index_agrees_with_a_scan(case):
-    # up to n leads are scanned, more are read off the divisor index
-    leads, exps = case
-    divides = groebner._divides_some(leads)
-    for e in exps:
-        assert divides(e) == any(all(a >= b for a, b in zip(e, le)) for le in leads)
-
-
 def _ref_interreduce(rows, order):
     """Minimalize, then tail-reduce every kept row against the others: the
     interreduction before untouched rows were kept, a reference."""
