@@ -200,28 +200,26 @@ def _shears(count: int, rng: random.Random, retries: int):
 
 def _cut_combo(prod: _Product, seed: int) -> None:
     """Certify the diagonal cuts of one product under the first shear that
-    passes: each form lies in no component of the cuts before it, and each
-    but the last drops the dimension by one (the last cut is the meet, whose
-    dimension the caller checks).  GenericityError when no shear passes."""
+    passes: each form is a nonzerodivisor modulo the cuts before it (it lies
+    in no associated prime), so each cut drops the dimension by one or more;
+    the last cut is the meet, whose dimension prod.dim - r for the r forms
+    the caller checks, so each drops it by exactly one.  GenericityError
+    when no shear passes."""
     # integer-derived stream, decoupled from the Vogel draws for the same seed
     rng = random.Random(seed * 0x9E3779B97F4A7C15 + 0x5EA8)
-    failures = []
     for mat in _shears(len(prod.eta), rng, SHEAR_RETRIES):
         cur = prod.space
         forms = prod.eta if mat is None else [_combos(prod.eta, row, cur.ring) for row in mat]
         for i, form in enumerate(forms, start=1):
             if form.is_zero() or cur.saturate_poly(form) != cur:
-                failures.append("component inside the divisor")
                 break
             if i < len(forms):
                 cur = cur + (form,)
-                if cur.krull_dimension() != prod.dim - i:
-                    failures.append(f"cut dropped dimension to {cur.krull_dimension()}")
-                    break
         else:
             return
     raise GenericityError(
-        f"no shear passed the cut checks: {failures[-SHEAR_RETRIES:]}"
+        f"no shear passed the cut checks: under each of the {SHEAR_RETRIES + 1} tried, "
+        "a form is zero or a zerodivisor modulo the cuts before it"
     )
 
 

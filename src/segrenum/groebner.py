@@ -8,18 +8,19 @@ before the next is added.  Each step is a signature-based completion
 step carries a signature, the monomial m with which m*f, f the generator
 being added, heads its representation, compared under the target order;
 the basis rows sit below every signature.  Pairs are taken in increasing
-signature, at most one per signature, and a pair whose two sides have equal
-signatures is never formed.  Three criteria drop a signature: it is
-divisible by a basis lead (Koszul), by the signature of a principal syzygy
-of two new elements, or by that of an earlier reduction to zero; and a pair
-is dropped when its larger side is not the rewriter of its signature under
-the ratio rewrite order.  Reduction is regular: a row may cancel the lead E
-of an element of signature sigma only when its multiple x^(E - lead) sits
-below sigma in signature.  When each generator is a nonzerodivisor modulo
-the basis it is added to, as for generic dense systems, a Koszul signature
-divides every syzygy signature and no S-polynomial reduces to zero (Faugere
-2002).  The output is the reduced basis, unique for the ideal and
-the order, so it is the one any correct completion gives.
+signature, and a pair whose two sides have equal signatures is never formed.
+Three rules drop a pair: its signature is divisible by a basis lead
+(Koszul) or by the signature of an earlier reduction to zero, or its larger
+side is not the rewriter of its signature under the ratio rewrite order.
+So at most one S-polynomial is reduced per signature: once one is, the
+signature is a syzygy or the result is its rewriter.  Reduction is regular:
+a row may cancel the lead E of an element of signature sigma only when its
+multiple x^(E - lead) sits below sigma in signature.  When each generator
+is a nonzerodivisor modulo the basis it is added to, as for generic dense
+systems, a Koszul signature divides every syzygy signature and no
+S-polynomial reduces to zero (Faugere 2002).  The output is the reduced
+basis, unique for the ideal and the order, so it is the one any correct
+completion gives.
 A sum ``I + (h)`` starts from I's cached basis.  Every elimination is one
 block(nd) completion of int term dicts whose nd front variables are dropped,
 and ``_eliminated`` keeps its rows free of them: a fresh t in front for
@@ -97,10 +98,9 @@ def _interreduce(old: list, new: list, order: MonomialOrder) -> list:
     reduced them by every old row), and under a global order no lead divides
     another term of its own row.  So only new leads drop rows, and a row is
     tail-reduced only when a kept new lead divides one of its terms other
-    than its lead; otherwise it is what reduce_full would return, its terms
-    largest first.  Each row of the step, and of a reduced basis of two rows
-    or more, has that order already, since reduce_full made it; a lone old
-    row is sorted."""
+    than its lead; otherwise it is what reduce_full would return, since every
+    row the step returns, and so every row of a basis, has its terms largest
+    first already."""
     K = kernel.get()
     key, div = order.key, K.exp_div
     fresh = {id(r) for r in new}
@@ -116,8 +116,6 @@ def _interreduce(old: list, new: list, order: MonomialOrder) -> list:
             others = kept[:i] + kept[i + 1 :]
             z = K.make_primitive(dict(K.reduce_full(z, others, order.code, order.block)[0]))
             lc = z[le]
-        elif len(old) == 1 and kept[i] is old[0]:
-            z = dict(sorted(z.items(), key=lambda t: key(t[0]), reverse=True))
         if lc < 0:
             lc, z = -lc, {e: -c for e, c in z.items()}
         out.append((le, lc, z))
@@ -132,30 +130,38 @@ def _signature_step(f: dict, old: list, order: MonomialOrder) -> list:
     Each new element carries a signature s, an exponent standing for the
     multiple x^s * f it reduces from; old rows sit below every signature.
     Pairs wait in a heap keyed by the signature sigma of their larger side
-    (the generating side); at most one S-polynomial is reduced per sigma, and
-    a pair whose sides have equal signatures is never formed.  A pair is
-    dropped when sigma is divisible by an old lead (Koszul), by the
-    signature of a principal syzygy of two new elements, or by that of an
-    earlier reduction to zero (checked when pushed, the syzygies again when
-    popped); or when its generating side is not the rewriter of sigma:
-    among the new elements c with s_c | sigma, the one with the smallest
-    lead of x^(sigma - s_c) * c, the newest on ties (the ratio rewrite order
-    of Eder and Faugere 2017).  Reduction is regular: by the old rows and
-    the new rows d with x^(E - l_d) * d below sigma in signature, E the
-    current lead and l_d that of d.  Every order here is a group order on
-    exponent vectors, so that is E < sigma + l_d - s_d, one add and one key
-    per row and pop, with l_d - s_d kept from the push.  The set grows as E
-    falls, so reduce_full runs again only while it grows; it returns its
-    terms largest first, so E is the first.  A result whose lead a new row
-    reduces at signature exactly sigma is redundant and dropped; a zero
-    result's sigma is a syzygy.  The signatures and syzygies live only as
-    long as the step.
+    (the generating side), and a pair whose sides have equal signatures is
+    never formed.  Three rules drop a pair: sigma is divisible by an old
+    lead (Koszul; checked when pushed) or by the signature of an earlier
+    reduction to zero (a syzygy; checked when pushed and again when popped),
+    or its generating side is not the rewriter of sigma: among the new
+    elements c with s_c | sigma, the one with the smallest lead of
+    x^(sigma - s_c) * c, the newest on ties (the ratio rewrite order of Eder
+    and Faugere 2017).  Reduction is regular: by the old rows and the new
+    rows d with x^(E - l_d) * d below sigma in signature, E the current lead
+    and l_d that of d.  Every order here is a group order on exponent
+    vectors, so that is E < sigma + l_d - s_d, one add and one key per row
+    and pop, with l_d - s_d kept from the push.  The set grows as E falls,
+    so reduce_full runs again only while it grows; it returns its terms
+    largest first, so E is the first.  A zero result's sigma is a syzygy;
+    any other result is a new element of signature sigma whose lead is below
+    the lcm of the pair's leads, which the rewriter check put at or below
+    sigma - s_d + l_d for every new d with s_d | sigma.  So the new element
+    is sigma's rewriter from then on, and at most one S-polynomial is
+    reduced per sigma: a later pair there fails the syzygy check or the
+    rewriter check.  The principal syzygy c_t*c_i - c_i*c_t of two new
+    elements needs no rule of its own: its f-part lies in the old ideal and
+    has the syzygy's signature as its lead, so an old lead divides that
+    signature.  The signatures and syzygies live only as long as the step.
+    An empty old gives f, its terms largest first like every row the step
+    returns.
     """
     K = kernel.get()
     code, block, key = order.code, order.block, order.key
     add, sub, div = K.exp_add, K.exp_sub, K.exp_div
     if not old:
-        le = K.lead_exp(f, code, block)
+        f = dict(sorted(f.items(), key=lambda t: key(t[0]), reverse=True))
+        le = next(iter(f))
         return [(le, f[le], f)]
     f = K.make_primitive(K.reduce_full(f, old, code, block)[0])
     if not f:
@@ -182,10 +188,6 @@ def _signature_step(f: dict, old: list, order: MonomialOrder) -> list:
             if a == b:
                 continue
             p = max((key(a), a, i, t), (key(b), b, t, i))
-            # the principal syzygy's signature: the larger side times gcd of the leads
-            y = add(p[1], sub(add(le, li), L))
-            if not dead(y):
-                syz.append(y)
             if not dead(p[1]):
                 heapq.heappush(pairs, p)
         sigs.append(sig)
@@ -193,15 +195,13 @@ def _signature_step(f: dict, old: list, order: MonomialOrder) -> list:
         rows.append((le, z[le], z))
 
     push((0,) * len(next(iter(f))), f, next(iter(f)))
-    last = None
     while pairs:
         _, sig, g, o = heapq.heappop(pairs)
-        if sig == last or any(div(sig, y) for y in syz):
+        if any(div(sig, y) for y in syz):
             continue
         bounds = [key(add(sig, d)) for d in offs]  # x^(sigma - s_c) * c's lead
         if min((b, -c) for c, (b, s) in enumerate(zip(bounds, sigs)) if div(sig, s))[1] != -g:
             continue
-        last = sig
         (lg, cg, zg), (lo, co, zo) = rows[g], (rows[o] if o >= 0 else old[-1 - o])
         h = K.spoly(zg, lg, cg, zo, lo, co, code, block)
         E = K.lead_exp(h, code, block) if h else None
@@ -214,10 +214,10 @@ def _signature_step(f: dict, old: list, order: MonomialOrder) -> list:
             red = now
             h = K.make_primitive(K.reduce_full(h, red, code, block)[0])
             E = next(iter(h), None)
-        if not h:
-            syz.append(sig)
-        elif not any(div(E, r[0]) and E == add(sig, d) for r, d in zip(rows, offs)):
+        if h:
             push(sig, h, E)
+        else:
+            syz.append(sig)
     return rows
 
 

@@ -53,7 +53,7 @@ class Expectation:
 class Problem:
     path: str
     ring: Ring
-    space: Ideal
+    space: Ideal  # None while loading, until a space: line sets it
     ideals: dict[str, Ideal] = field(default_factory=dict)
     cycles: dict[str, CycleRep] = field(default_factory=dict)
     points: dict[str, AffinePoint] = field(default_factory=dict)
@@ -119,7 +119,7 @@ def _handle_declaration(problem: Problem, key: str, name: str | None, body: str)
         if any(name in t for t in (problem.ideals, problem.cycles, problem.points, problem.maps)):
             raise InputError(f"duplicate name {name!r}")
     if key == "space":
-        if not problem.space.is_zero():
+        if problem.space is not None:
             raise InputError("duplicate space line")
         gens = [ring.parse(t) for t in body.split(",") if t.strip()]
         problem.space = Ideal(ring, gens)
@@ -167,7 +167,7 @@ def load_problem(path: str) -> Problem:
                 if problem is not None:
                     raise InputError("duplicate ring line")
                 ring = Ring(line.split()[1:])
-                problem = Problem(path, ring, Ideal(ring, ()))
+                problem = Problem(path, ring, None)
                 continue
             if problem is None:
                 raise InputError("the first declaration must be 'ring'")
@@ -203,4 +203,6 @@ def load_problem(path: str) -> Problem:
             raise
     if problem is None:
         raise InputError(f"{path}: no ring declaration")
+    if problem.space is None:
+        problem.space = Ideal(problem.ring, ())
     return problem

@@ -12,6 +12,7 @@ from test_acceptance import budget
 from segrenum import (
     AffinePoint,
     CycleRep,
+    GenericityError,
     Ideal,
     ImproperIntersectionError,
     InputError,
@@ -236,6 +237,15 @@ def test_a_meet_below_the_expected_dimension_is_refused():
     a = CycleRep.from_ideal(Ideal(R3, ["x1*x2", "x1*x3"]))
     b = CycleRep.from_ideal(Ideal(R3, ["x1 - 1"]))
     with pytest.raises(InputError, match="not pure-dimensional"):
+        proper_intersect([a, b])
+
+
+def test_an_embedded_point_on_the_diagonal_fails_every_shear():
+    # the meet of the line x = 0 and the line y = 0 is proper, but (x^2, x*y)
+    # has an embedded point at the origin, on which every diagonal form vanishes
+    a = CycleRep.from_ideal(Ideal(R2, ["x^2", "x*y"]))
+    b = CycleRep.from_ideal(Ideal(R2, ["y"]))
+    with pytest.raises(GenericityError, match="under each of the 9 tried"):
         proper_intersect([a, b])
 
 

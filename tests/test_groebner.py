@@ -143,17 +143,39 @@ DENSE4 = [
     "-2*w^2 - 2*w*x + 8*x^2 + 2*w*y + 6*x*y - 2*y^2 - 2*w*z + 5*x*z + 7*y*z - 9*z^2 + 4*w - 9*x + 5*z + 8",
     "-3*w*x + 7*x^2 + 7*w*y + x*y + 4*w*z - 6*x*z - 4*y*z - 6*z^2 + 7*w + 6*x + 9*y + 3",
 ]  # fmt: skip
-SPOLYS, ZEROS = 11, 0
-LEADS = [
-    "z^5", "w*z^3", "x*z^3", "y*z^3", "x*y^2", "y^3", "x*y*z", "y^2*z", "w^2", "w*x", "x^2", "w*y"
-]  # fmt: skip
-BASIS_SHA256 = "9735bf4f4bd6b88e553f7d29a175aaa916575563e0cf79a464236be0e30d2821"
 
 
-def test_dense_quadrics_pair_counts_and_basis(monkeypatch):
-    """Four dense quadrics in four variables: the S-polynomials formed, the
-    remainders that vanish and the basis are pinned, so a change to the
-    reducer rows cannot change which pairs the loop reduces."""
+@pytest.mark.parametrize(
+    "ring, gens, order, spolys, zeros, leads, sha256",
+    [
+        # four dense quadrics in four variables: no remainder vanishes
+        (R4, DENSE4, GREVLEX, 11, 0, [
+            "z^5", "w*z^3", "x*z^3", "y*z^3", "x*y^2", "y^3", "x*y*z", "y^2*z", "w^2", "w*x",
+            "x^2", "w*y",
+        ], "9735bf4f4bd6b88e553f7d29a175aaa916575563e0cf79a464236be0e30d2821"),
+        # two remainders vanish, and one pair, pushed before the syzygy that
+        # kills it was found, is dropped when popped
+        (R3, ["x*z - y^2", "x^3 - y*z", "x^2*y - z^2"], LEX, 4, 2, [
+            "x^3", "x^2*y", "x*y^3", "x*z", "y^5",
+        ], "575fda657948ec7a8291d746c6e8d691ac6d1c23a63f57b0464fe96145eafee5"),
+        # a second pair at a signature whose remainder vanished: the syzygy drops it
+        (R3, ["x^2*y - z^3", "2*x*y - 4*y*z - z^2", "y^2 - z^2"], GREVLEX, 3, 1, [
+            "z^4", "x*z^2", "y*z^2", "x*y", "y^2",
+        ], "8e214284a9a11c9f10aeaa6489252acd74ab74b67be3061efd82a7fbc2f5a46c"),
+        # a second pair at a signature whose remainder is a new row: that row
+        # is the signature's rewriter, so the pair's larger side is not
+        (R3, ["x*y - z", "y*z - x", "x*z - y"], GREVLEX, 4, 0, [
+            "z^3", "x^2", "x*y", "y^2", "x*z", "y*z",
+        ], "08c8e0beb7511ce39760ebbd07933c1ab7aeabfde78351b3001b8e41cee980f3"),
+    ],
+    ids=["dense-quadrics", "lex-syzygy-at-pop", "repeat-signature-zero", "repeat-signature-row"],
+)  # fmt: skip
+def test_dense_quadrics_pair_counts_and_basis(
+    monkeypatch, ring, gens, order, spolys, zeros, leads, sha256
+):
+    """The S-polynomials formed, the remainders that vanish and the basis are
+    pinned, so a change to the reducer rows or to the rules that drop a pair
+    cannot change which pairs the loop reduces."""
     K = kernel.get()
     spoly, reduce_full = K.spoly, K.reduce_full
     counts = {"spoly": 0, "zero": 0}
@@ -169,12 +191,12 @@ def test_dense_quadrics_pair_counts_and_basis(monkeypatch):
 
     monkeypatch.setattr(K, "spoly", counted_spoly)
     monkeypatch.setattr(K, "reduce_full", counted_reduce_full)
-    I = Ideal(R4, DENSE4)
-    gb = I.groebner()
-    assert counts == {"spoly": SPOLYS, "zero": ZEROS}
-    assert [str(R4.from_terms({e: 1})) for e in I.leading_exponents()] == LEADS
+    I = Ideal(ring, gens)
+    gb = I.groebner(order)
+    assert counts == {"spoly": spolys, "zero": zeros}
+    assert [str(ring.from_terms({e: 1})) for e in I.leading_exponents(order)] == leads
     text = "\n".join(str(g) for g in gb)
-    assert hashlib.sha256(text.encode()).hexdigest() == BASIS_SHA256
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 # -- lattice operations ----------------------------------------------------------

@@ -86,6 +86,9 @@ def _error(tmp_path, text):
         ("ring x y\nideal A: x\nideal A: y\n", "duplicate", 3),
         ("ring x y\nideal A: x\npoint A: 0, 0\n", "duplicate", 3),
         ("ring x y\nspace: x\nspace: y\n", "duplicate", 3),
+        # a first space line that declares the zero ideal is still a space line
+        ("ring x y\nspace: 0\nspace: x*y\n", "duplicate space line", 3),
+        ("ring x y\nspace:\nspace: x*y\n", "duplicate space line", 3),
         ("ring x y\ncycle W: (A)\n", "unknown ideal", 2),
         ("ring x y\nideal A: x\ncycle W: 2(A)\n", "cycle", 3),
         ("ring x y\nideal A: x\ncycle W: (A) (A)\n", "missing", 3),

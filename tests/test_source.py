@@ -89,6 +89,63 @@ def test_every_private_helper_is_referenced():
     assert _orphans(sources) == []
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _dead_locals(source: str) -> list[str]:
+    """Locals that a function assigns, a nested def's name included, and that
+    nothing in it, nested functions included, reads.  Names starting with _
+    are exempt, and so are those declared global or nonlocal."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = [n for n in ast.walk(fn) if isinstance(n, ast.Name)]
+        read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+        assigned, outer, stack = {}, set(), list(fn.body)
+        while stack:  # fn's own scope: a nested definition binds its name only
+            node = stack.pop()
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                outer.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                assigned.setdefault(node.id, node.lineno)
+            if isinstance(node, _SCOPES):
+                if not isinstance(node, ast.Lambda):
+                    assigned.setdefault(node.name, node.lineno)
+                continue
+            stack.extend(ast.iter_child_nodes(node))
+        out += [
+            (line, f"line {line}: {fn.name}: {name}")
+            for name, line in assigned.items()
+            if name not in read and name not in outer and not name.startswith("_")
+        ]
+    return [msg for _, msg in sorted(out)]
+
+
+def test_dead_local_scan_sees_closures_and_nested_definitions():
+    source = (
+        "def f(a):\n"
+        "    b, c = a\n"
+        "    d = 1\n"
+        "    def g():\n"
+        "        return d\n"
+        "    def h():\n"
+        "        e = 2\n"
+        "    for _ in a:\n"
+        "        k = [x for x in a]\n"
+        "    return b, g, lambda: k\n"
+        "def m():\n"
+        "    global n\n"
+        "    n = 0\n"
+    )
+    assert _dead_locals(source) == ["line 2: f: c", "line 6: f: h", "line 7: h: e"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.relative_to(PACKAGE[0].parent).as_posix())
+def test_every_local_is_read(path):
+    assert _dead_locals(path.read_text(encoding="utf-8")) == []
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -11,8 +11,10 @@ from segrenum import (
     GenericityError,
     Ideal,
     InputError,
+    Polynomial,
     Ring,
     fixed_support,
+    local_dim_mult,
     point_part,
     polar_at,
     random_vogel_sequence,
@@ -27,6 +29,7 @@ T3 = Ring(["t1", "t2", "t3"])
 R2 = Ring(["x", "y"])
 RZ = Ring(["z1", "z2"])
 U3 = Ring(["x1", "x2", "x3"])
+XYZ = Ring(["x", "y", "z"])
 
 SCALED_PLANE = ["t3*t1", "t3*t2", "t3^2"]
 
@@ -470,3 +473,55 @@ def test_teissier_monomial_ideal_in_three_variables(powers, mixed, seed):
     gens = ["*".join(f"{v}^{k}" for v, k in zip("xyz", e)) for e in exps]
     res = segre_at(gens, Ideal(Ring(["x", "y", "z"]), ()), trials=2, seed=seed)
     assert res.values == (0, 0, 0, _newton_multiplicity3(exps))
+
+
+def _partials(f):
+    def d(i):
+        return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in f.terms.items() if e[i]}
+
+    return [Polynomial(f.ring, d(i)) for i in range(f.ring.arity)]
+
+
+def _mu_star(f, planes=3, seed=11):
+    """Teissier's (mu^(0), ..., mu^(n+1)) of f at 0, by a route that shares
+    no Vogel or saturation code: mu^(i) is the Milnor number, the local
+    multiplicity of the partials' ideal, of f restricted to a seeded random
+    linear i-plane through 0, the least over the planes whose restriction has
+    an isolated singularity there (the generic value is the least)."""
+    rng = random.Random(seed)
+    out = [1]
+    for i in range(1, f.ring.arity + 1):
+        T = Ring([f"s{j}" for j in range(i)])
+        found = []
+        for _ in range(planes):
+            plane = {
+                k: sum((T.var(j) * rng.randint(-5, 5) for j in range(i)), T.zero())
+                for k in range(f.ring.arity)
+            }
+            dim, mult = local_dim_mult(Ideal(T, _partials(f.substitute(plane, T))))
+            if dim == 0:
+                found.append(mult)
+        out.append(min(found))
+    return out
+
+
+@pytest.mark.parametrize(
+    "ring, f",
+    [
+        (R2, "x^3 + y^4"),
+        (R2, "x^2*y + y^5"),
+        (XYZ, "x^2 + y^3 + z^5"),
+        (XYZ, "x^3 + y^3 + z^3"),
+        (XYZ, "x*y*z + x^4 + y^4 + z^4"),
+    ],
+    ids=["E6", "D6", "E8", "P8", "T444"],
+)
+def test_jacobian_polar_and_segre_numbers_are_the_mu_star_sequence(ring, f):
+    # Teissier, Gaffney-Gassler: for an isolated singularity f in n + 1
+    # variables, the polar multiplicities of J(f) on the whole space are
+    # (mu^(0), ..., mu^(n), 0) and its Segre numbers (0, ..., 0, mu)
+    f = ring.parse(f)
+    mu = _mu_star(f)
+    J, X = _partials(f), Ideal(ring, ())
+    assert polar_at(J, X, trials=2, seed=5).values == (*mu[:-1], 0)
+    assert segre_at(J, X, trials=2, seed=5).values == (0,) * (len(mu) - 1) + (mu[-1],)
