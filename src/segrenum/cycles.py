@@ -200,11 +200,10 @@ def _shears(count: int, rng: random.Random, retries: int):
 
 def _cut_combo(prod: _Product, seed: int) -> None:
     """Certify the diagonal cuts of one product under the first shear that
-    passes: each form is a nonzerodivisor modulo the cuts before it (it lies
-    in no associated prime), so each cut drops the dimension by one or more;
-    the last cut is the meet, whose dimension prod.dim - r for the r forms
-    the caller checks, so each drops it by exactly one.  GenericityError
-    when no shear passes."""
+    passes: each form is a nonzerodivisor modulo the cuts before it, so each
+    cut drops the dimension by one or more, and by exactly one, since the
+    caller checks that the last cut, the meet, has dimension prod.dim - r
+    for the r forms.  GenericityError when no shear passes."""
     # integer-derived stream, decoupled from the Vogel draws for the same seed
     rng = random.Random(seed * 0x9E3779B97F4A7C15 + 0x5EA8)
     for mat in _shears(len(prod.eta), rng, SHEAR_RETRIES):

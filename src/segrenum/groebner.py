@@ -9,18 +9,16 @@ step carries a signature, the monomial m with which m*f, f the generator
 being added, heads its representation, compared under the target order;
 the basis rows sit below every signature.  Pairs are taken in increasing
 signature, and a pair whose two sides have equal signatures is never formed.
-Three rules drop a pair: its signature is divisible by a basis lead
-(Koszul) or by the signature of an earlier reduction to zero, or its larger
-side is not the rewriter of its signature under the ratio rewrite order.
-So at most one S-polynomial is reduced per signature: once one is, the
-signature is a syzygy or the result is its rewriter.  Reduction is regular:
-a row may cancel the lead E of an element of signature sigma only when its
-multiple x^(E - lead) sits below sigma in signature.  When each generator
-is a nonzerodivisor modulo the basis it is added to, as for generic dense
-systems, a Koszul signature divides every syzygy signature and no
-S-polynomial reduces to zero (Faugere 2002).  The output is the reduced
-basis, unique for the ideal and the order, so it is the one any correct
-completion gives.
+A pair is dropped when its signature is divisible by a basis lead (Koszul)
+or by that of an earlier reduction to zero, or when its larger side is not
+the signature's rewriter under the ratio rewrite order, so at most one pair
+per signature is reduced: its result is a syzygy or the new rewriter.
+Reduction is regular: a row may cancel the lead E of an element of
+signature sigma only when its multiple x^(E - lead) sits below sigma in
+signature.  When each generator is a nonzerodivisor modulo the basis it is
+added to, as for generic dense systems, a Koszul signature divides every
+syzygy signature and no S-polynomial reduces to zero (Faugere 2002).  The
+output is the reduced basis, unique for the ideal and the order.
 A sum ``I + (h)`` starts from I's cached basis.  Every elimination is one
 block(nd) completion of int term dicts whose nd front variables are dropped,
 and ``_eliminated`` keeps its rows free of them: a fresh t in front for
@@ -130,31 +128,25 @@ def _signature_step(f: dict, old: list, order: MonomialOrder) -> list:
     Each new element carries a signature s, an exponent standing for the
     multiple x^s * f it reduces from; old rows sit below every signature.
     Pairs wait in a heap keyed by the signature sigma of their larger side
-    (the generating side), and a pair whose sides have equal signatures is
-    never formed.  Three rules drop a pair: sigma is divisible by an old
-    lead (Koszul; checked when pushed) or by the signature of an earlier
-    reduction to zero (a syzygy; checked when pushed and again when popped),
-    or its generating side is not the rewriter of sigma: among the new
-    elements c with s_c | sigma, the one with the smallest lead of
-    x^(sigma - s_c) * c, the newest on ties (the ratio rewrite order of Eder
-    and Faugere 2017).  Reduction is regular: by the old rows and the new
-    rows d with x^(E - l_d) * d below sigma in signature, E the current lead
-    and l_d that of d.  Every order here is a group order on exponent
-    vectors, so that is E < sigma + l_d - s_d, one add and one key per row
-    and pop, with l_d - s_d kept from the push.  The set grows as E falls,
-    so reduce_full runs again only while it grows; it returns its terms
-    largest first, so E is the first.  A zero result's sigma is a syzygy;
-    any other result is a new element of signature sigma whose lead is below
-    the lcm of the pair's leads, which the rewriter check put at or below
-    sigma - s_d + l_d for every new d with s_d | sigma.  So the new element
-    is sigma's rewriter from then on, and at most one S-polynomial is
-    reduced per sigma: a later pair there fails the syzygy check or the
-    rewriter check.  The principal syzygy c_t*c_i - c_i*c_t of two new
-    elements needs no rule of its own: its f-part lies in the old ideal and
-    has the syzygy's signature as its lead, so an old lead divides that
-    signature.  The signatures and syzygies live only as long as the step.
-    An empty old gives f, its terms largest first like every row the step
-    returns.
+    (the generating side); a pair whose sides have equal signatures is never
+    formed.  A pair is dropped when sigma is divisible by an old lead
+    (Koszul) or by the signature of an earlier reduction to zero (checked
+    when pushed, the syzygies again when popped), or when its generating
+    side is not the rewriter of sigma: among the new elements c with
+    s_c | sigma, the one with the smallest lead of x^(sigma - s_c) * c, the
+    newest on ties (the ratio rewrite order of Eder and Faugere 2017).
+    Reduction is regular: by the old rows and the new rows d with
+    x^(E - l_d) * d below sigma in signature, E the current lead and l_d
+    that of d.  Every order here is a group order on exponent vectors, so
+    that is E < sigma + l_d - s_d, one add and one key per row and pop, with
+    l_d - s_d kept from the push.  The set grows as E falls, so reduce_full
+    runs again only while it grows; it returns its terms largest first, so E
+    is the first.  A zero result's sigma is a syzygy; any other is a new row
+    whose lead is below the pair's lcm, and the rewriter check put that lcm
+    at or below every candidate's lead at sigma, so the new row is sigma's
+    rewriter: at most one pair per sigma is reduced.  A principal syzygy of
+    two new rows has its f-part in the old ideal, so an old lead divides its
+    signature.  Rows leave with terms largest first.
     """
     K = kernel.get()
     code, block, key = order.code, order.block, order.key
